@@ -14,7 +14,11 @@ is one JSON object with the keys correct, attempted, failed and metrics.
 
 A call that raises on a valid input or returns a wrong answer counts in
 ``failed``; ``fail_rate`` in the report is failed / attempted, with the
-failures listed by kind.  The report also gives ``latency_tail_ms``, the
+failures listed by kind.  The timed inputs leave out those on which the
+program is known to fail; the traced run puts them back in a defect census
+(``workloads.census``).  Set-up times and call latencies are scaled to a
+standard host speed measured between calls (see ``child.py``); the report
+prints the wall-clock values next to them.  The report also gives ``latency_tail_ms``, the
 highest percentile with ten samples beyond it; like ``fail_rate`` it is not
 a bounded metric of ``BENCHMARK.json``.  ``correct`` is false when a failure of a kind not
 in ``workloads.KNOWN_DEFECTS`` occurs (the defects the program already had
@@ -117,10 +121,12 @@ def run_workload(spec: dict, workload: str, seed: int, seconds: float, traced: b
         record = run_child(workload, seed, seconds, "trace", OUT / f"{stem}.spans.npz")
         wanted = spec["per_layer"]
     else:
-        setups = [run_child(workload, seed, seconds, "setup")["setup_s"] for _ in range(SETUP_RUNS - 1)]
+        setup_records = [run_child(workload, seed, seconds, "setup") for _ in range(SETUP_RUNS - 1)]
         record = run_child(workload, seed, seconds, "measure")
-        setups.append(record["setup_s"])
+        setup_records.append(record)
+        setups = [r["setup_s"] for r in setup_records]
         record["metrics"]["setup_s"] = statistics.median(setups)
+        record["raw"]["setup_s"] = statistics.median(r["setup_raw_s"] for r in setup_records)
         record["setup_runs"] = setups
         wanted = spec["end_to_end"]
     missing = [m["name"] for m in wanted if m["name"] not in record["metrics"]]
@@ -141,19 +147,27 @@ def run_workload(spec: dict, workload: str, seed: int, seconds: float, traced: b
 def report(workload: str, full: dict) -> None:
     record, result = full["record"], full["result"]
     print(f"workload {workload}  seed {full['provenance']['seed']}")
+    raw = record.get("raw", {})
     for name, metric in result["metrics"].items():
-        print(f"  {name:<44} {metric['value']:>16.6g} {metric['unit']}")
+        wall = f"  (wall clock {raw[name]:.6g})" if name in raw else ""
+        print(f"  {name:<44} {metric['value']:>16.6g} {metric['unit']}{wall}")
     rate = result["failed"] / result["attempted"]
     print(f"  {'fail_rate':<44} {rate:>16.6g} ratio ({result['failed']} of {result['attempted']} calls)")
     for kind, count in sorted(record.get("failures", {}).items()):
         print(f"    failed: {kind}: {count}")
+    census = record.get("census")
+    if census and census["attempted"]:
+        print(f"    of which the defect census: {census['failed']} of {census['attempted']} calls")
     tail = record.get("tail")
     if tail:
         value = record["metrics"]["latency_tail_ms"]
         print(
             f"  {'latency_tail_ms':<44} {value:>16.6g} ms (p{tail['percentile']:.2f} of "
-            f"{tail['samples']} calls, {tail['beyond']} beyond it)"
+            f"{tail['samples']} calls, {tail['beyond']} beyond it; wall clock {raw['latency_tail_ms']:.6g})"
         )
+    if record.get("reference_s"):
+        refs = record["reference_s"]
+        print(f"  host speed: reference median {1e3 * statistics.median(refs):.4g} ms over {len(refs)} timings")
     for problem in record.get("sanity", []):
         print(f"  sanity check failed: {problem}")
     print("provenance " + json.dumps(full["provenance"]))

@@ -53,6 +53,31 @@ def test_largest_scan_job_makes_ten_million_terms():
     assert seifertq.z_direct(small, a).term_count == (a - 1) * 4 * a * a
 
 
+def test_timed_inputs_stay_in_the_ranges_without_known_defects():
+    for text in itertools.islice(workloads.certify_symbols(5), 200):
+        assert all(a <= workloads.CERTIFY_MAX_A for a, _ in json.loads(text)["fibers"])
+    for jobs in itertools.islice(workloads.scan_rounds(5), 20):
+        for symbol, _ks in jobs:
+            if len(symbol["fibers"]) == 1:
+                ((a, b),) = symbol["fibers"]
+                assert b in (1, a - 1)
+
+
+def test_census_covers_the_full_ranges():
+    labels = [call.label for call in workloads.census("scan")]
+    assert labels.count("growth.ltv_scan") == len(workloads.SCAN_CYCLE)
+    texts = list(itertools.islice(workloads.certify_symbols(workloads.CENSUS_SEED, workloads.CENSUS_MAX_A), 300))
+    assert max(a for t in texts for a, _ in json.loads(t)["fibers"]) > workloads.CERTIFY_MAX_A
+    assert list(workloads.census("cli")) == []
+
+
+def test_speed_factors_use_the_nearest_references():
+    nominal = child.REF_NOMINAL_S
+    refs = [(float(t), nominal) for t in range(10)] + [(float(t), 2 * nominal) for t in range(10, 20)]
+    factors = child.speed_factors([0.5, 4.5, 15.5, 30.0], refs, nominal)
+    assert factors == [1.0, 1.0, 0.5, 0.5]
+
+
 def test_dedekind_reference():
     assert workloads.dedekind_reference(1, 3) == Fraction(1, 18)
     assert workloads.dedekind_reference(-1, 3) == Fraction(-1, 18)
