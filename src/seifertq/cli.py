@@ -7,8 +7,7 @@ precondition), 5 (numeric inconsistency).
 
 With the default --deterministic flag the output is a pure function of the
 inputs (no timing field), byte-identical across runs; --no-deterministic
-adds a timing_ms field.  --threads is accepted and recorded for
-compatibility; evaluation is vectorized in a single thread.
+adds a timing_ms field.
 """
 
 from __future__ import annotations
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--threads", type=int, default=1, help="recorded; evaluation is single-threaded")
     common.add_argument(
         "--deterministic",
         action=argparse.BooleanOptionalAction,
@@ -320,7 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     result = {"schema": SCHEMA_VERSION, "command": args.command}
     result.update(payload)
-    result["threads"] = args.threads
     if not args.deterministic:
         result["timing_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
     _emit(result, args.format)

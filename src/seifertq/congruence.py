@@ -17,17 +17,23 @@ free sign, doubling the solution count per unit fiber.
 
 Dedekind sums follow the convention
 
-    s(b, a) = (1/4a) * sum_{l=1}^{a-1} cot(pi*l/a) * cot(pi*l*b/a),
+    s(b, a) = (1/4a) * sum_{l=1}^{a-1} cot(pi*l/a) * cot(pi*l*b/a).
 
-computed exactly through the equivalent sawtooth form
-s(b, a) = sum ((l/a)) ((lb/a)) with ((x)) = x - floor(x) - 1/2 off the
-integers and 0 on them.  Every constructed value is cross-checked against
-the floating-point cotangent sum.
+The exact value comes from the Euclid recursion of Rademacher-Grosswald
+(Dedekind Sums, 1972): s(b, a) = s(b mod a, a), and for coprime 0 < b < a
+
+    s(b, a) = -1/4 + (a^2 + b^2 + 1) / (12 a b) - s(a mod b, b),
+
+so O(log a) exact steps reach s(0, 1) = 0.  Every value is cross-checked
+against the float cotangent sum with each angle pi*m/a first reduced exactly
+into (0, pi/2] (m = l*b mod a, cot(pi - x) = -cot(x), cot(pi/2) = 0), to
+within 16 units in the last place of sum |term| / 4a.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -65,10 +71,13 @@ def mod_inverse(b: int, a: int) -> int:
         raise NonInvertibleError(f"{b} is not invertible modulo {a}") from exc
 
 
-def _sawtooth(x: Fraction) -> Fraction:
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
+def _cot_pi(m: int, a: int) -> float:
+    """cot(pi m / a) for 0 < m < a, with the angle reduced exactly into (0, pi/2]."""
+    if 2 * m == a:
+        return 0.0
+    if 2 * m > a:
+        return -_cot_pi(a - m, a)
+    return 1.0 / math.tan(math.pi * m / a)
 
 
 def dedekind_sum(b: int, a: int) -> Fraction:
@@ -85,19 +94,22 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     if math.gcd(a, b) != 1:
         raise DomainError(f"dedekind_sum needs gcd(a, b) = 1, got ({b}, {a})")
     total = Fraction(0)
-    for l in range(1, a):
-        total += _sawtooth(Fraction(l, a)) * _sawtooth(Fraction(l * b, a))
+    sign = 1
+    p, q = a, b % a
+    while q:
+        total += sign * (Fraction(p * p + q * q + 1, 12 * p * q) - Fraction(1, 4))
+        p, q = q, p % q
+        sign = -sign
 
-    # cotangent cross-check; gcd(a, b) = 1 keeps every cotangent finite
-    if a > 1:
-        cot = math.fsum(
-            (1.0 / math.tan(math.pi * l / a)) * (1.0 / math.tan(math.pi * l * b / a))
-            for l in range(1, a)
-        ) / (4.0 * a)
-        if abs(float(total) - cot) > 1e-12:
-            raise NumericInconsistencyError(
-                f"dedekind_sum({b}, {a}): sawtooth {float(total)!r} vs cotangent {cot!r}"
-            )
+    # gcd(a, b) = 1 keeps l*b off the multiples of a, so every cotangent is finite
+    cot_table = [0.0] + [_cot_pi(m, a) for m in range(1, a)]
+    terms = [cot_table[l] * cot_table[l * b % a] for l in range(1, a)]
+    cot = math.fsum(terms) / (4.0 * a)
+    tolerance = 16 * sys.float_info.epsilon * math.fsum(map(abs, terms)) / (4.0 * a)
+    if abs(float(total) - cot) > tolerance:
+        raise NumericInconsistencyError(
+            f"dedekind_sum({b}, {a}): exact {float(total)!r} vs cotangent {cot!r}"
+        )
     return total
 
 

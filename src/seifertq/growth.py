@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .congruence import enumerate_solutions, system_modulus
 from .errors import DegenerateSystemError, DomainError
+from .rt import _double_setup, rt_closed
 from .symbols import SeifertSymbol, double
-from .tv import tv_bounded, tv_closed
+from .tv import _tv_from_double_rt, _tv_from_rt, tv_bounded, tv_closed
 
 __all__ = ["LowerBound", "lower_bound", "LemmaCheck", "verify_lemma", "LtvSample", "ltv_scan"]
 
@@ -44,33 +42,18 @@ class LowerBound:
 
 def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
     """Growth lower bound for a bounded symbol at an admissible level r = k A."""
-    if not symbol.has_boundary:
-        raise DomainError("the lower bound applies to symbols with boundary")
-    if not symbol.fibers or any(a < 2 for a, _ in symbol.fibers):
-        raise DomainError(
-            "the lower bound needs at least one fiber and every multiplicity >= 2; "
-            "normalize the symbol to absorb unit fibers"
-        )
-    if r < 3 or r % 2 == 0:
-        raise DomainError(f"level r must be an odd integer >= 3, got {r!r}")
-    A = system_modulus(symbol.fibers)
-    if r % A:
-        raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
-    k = r // A
-
-    n = symbol.fiber_count
-    a_eps = 2 if symbol.epsilon == "o" else 1
-    certificate = enumerate_solutions(symbol.fibers)
-    cardinality = 0 if certificate is None else certificate.cardinality
-    if cardinality == 0:
+    A, k, certificate = _double_setup(symbol, r)
+    if certificate is None:
         raise DegenerateSystemError(
             "the congruence system has no solutions (B is empty), so the "
             "divisibility hypothesis fails and no positive lower bound exists"
         )
+    n = symbol.fiber_count
+    a_eps = symbol.a_eps
     value = (
         float(r) ** (a_eps * symbol.genus - 1)
         * 2.0
-        * cardinality
+        * certificate.cardinality
         * k
         * math.prod(a for a, _ in symbol.fibers)
         / 2.0 ** (2 * n + a_eps * symbol.genus - 1)
@@ -80,7 +63,7 @@ def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
         r=r,
         modulus=A,
         multiplier=k,
-        cardinality=cardinality,
+        cardinality=certificate.cardinality,
     )
 
 
@@ -100,15 +83,18 @@ class LemmaCheck:
 
 
 def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
-    """Compare the bound against the actual invariants at level r."""
+    """Compare the bound against the actual invariants at level r.
+
+    Both invariants come from one RT evaluation of the double D(M):
+    tv_bounded(M) is its real part and tv_closed(D(M)) its modulus squared.
+    """
     bound = lower_bound(symbol, r)
-    open_value = tv_bounded(symbol, r)
-    closed_value = tv_closed(double(symbol), r)
+    rt = rt_closed(double(symbol), r)
     return LemmaCheck(
         r=r,
         bound=bound.value,
-        tv_bounded_value=float(open_value.value.real),
-        tv_closed_double_value=float(closed_value.value.real),
+        tv_bounded_value=_tv_from_double_rt(rt).value,
+        tv_closed_double_value=_tv_from_rt(rt).value,
     )
 
 
@@ -139,6 +125,8 @@ def ltv_scan(symbol: SeifertSymbol, levels: list[int]) -> tuple[tuple[LtvSample,
 
     slope: float | None = None
     if len(samples) >= 2:
+        import numpy as np  # imported here so that the exact-arithmetic paths never load it
+
         xs = np.log([s.r for s in samples])
         ys = np.log([abs(s.tv_value) for s in samples])
         slope = float(np.polyfit(xs, ys, 1)[0])

@@ -89,12 +89,16 @@ def _two_sin_two_pi(n: int, r: int) -> float:
     return sign * 2.0 * math.sin(math.pi * float(x))
 
 
+def _require_level(r: int) -> None:
+    if not isinstance(r, int) or r < 3 or r % 2 == 0:
+        raise DomainError(f"level r must be an odd integer >= 3, got {r!r}")
+
+
 class RootContext:
     """Cached quantum data at level r (odd, >= 3)."""
 
     def __init__(self, r: int):
-        if not isinstance(r, int) or r < 3 or r % 2 == 0:
-            raise DomainError(f"level r must be an odd integer >= 3, got {r!r}")
+        _require_level(r)
         self.r = r
         self.zeta = _two_sin_two_pi(1, r)
         self.eta = self.zeta / math.sqrt(r)
@@ -153,6 +157,10 @@ def _require_admissible(ctx: RootContext, i: int, j: int, k: int) -> None:
 def delta(ctx: RootContext, i: int, j: int, k: int) -> complex:
     """Delta(i, j, k), principal square root; may be purely imaginary."""
     _require_admissible(ctx, i, j, k)
+    return _delta(ctx, i, j, k)
+
+
+def _delta(ctx: RootContext, i: int, j: int, k: int) -> complex:
     s = (i + j + k) // 2
     rad = (
         ctx._qfact[(i + j - k) // 2]
@@ -191,24 +199,28 @@ def _validate_tuple(ctx: RootContext, tup: tuple[int, ...]) -> None:
         _require_admissible(ctx, *(tup[s] for s in face))
 
 
+def _racah_sum(fact: list[float], T: list[int], Q: list[int]) -> float:
+    """sum_z (-1)^z fact[z+1] / (prod_b fact[z-T_b] prod_c fact[Q_c-z]), z from max T to min Q."""
+    racah = 0.0
+    for z in range(max(T), min(Q) + 1):
+        term = fact[z + 1]
+        for t in T:
+            term /= fact[z - t]
+        for q in Q:
+            term /= fact[q - z]
+        racah += -term if z % 2 else term
+    return racah
+
+
 def tet_symbol(ctx: RootContext, *tup: int) -> float:
     """Tetrahedral net evaluation of an admissible tuple (real)."""
     _validate_tuple(ctx, tup)
     T, Q = _half_sums(tup)
-    lo, hi = max(T), min(Q)
-    if lo > hi:
+    if max(T) > min(Q):
         return 0.0
     interaction = math.prod(ctx._bfact[q - t] for q in Q for t in T)
     edges = math.prod(ctx._bfact[c] for c in tup)
-    racah = 0.0
-    for z in range(lo, hi + 1):
-        term = ctx._bfact[z + 1]
-        for t in T:
-            term /= ctx._bfact[z - t]
-        for q in Q:
-            term /= ctx._bfact[q - z]
-        racah += -term if z % 2 else term
-    return interaction / edges * racah
+    return interaction / edges * _racah_sum(ctx._bfact, T, Q)
 
 
 def six_j(ctx: RootContext, *tup: int) -> complex:
@@ -219,19 +231,11 @@ def six_j(ctx: RootContext, *tup: int) -> complex:
     """
     _validate_tuple(ctx, tup)
     T, Q = _half_sums(tup)
-    lo, hi = max(T), min(Q)
-    if lo > hi:
+    if max(T) > min(Q):
         return 0.0j
-    racah = 0.0
-    for z in range(lo, hi + 1):
-        term = ctx._qfact[z + 1]
-        for t in T:
-            term /= ctx._qfact[z - t]
-        for q in Q:
-            term /= ctx._qfact[q - z]
-        racah += -term if z % 2 else term
+    racah = _racah_sum(ctx._qfact, T, Q)
     lam = sum(tup)
     prefactor = (1j ** lam) / ctx.zeta
     for face in _FACES:
-        prefactor *= delta(ctx, *(tup[s] for s in face))
+        prefactor *= _delta(ctx, *(tup[s] for s in face))
     return prefactor * racah

@@ -46,12 +46,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .congruence import dedekind_sum, enumerate_solutions, mod_inverse, system_modulus
+from .congruence import CongruenceCertificate, dedekind_sum, enumerate_solutions, mod_inverse, system_modulus
 from .errors import DomainError
-from .symbols import SeifertSymbol, _require_multiplicities, euler_number
+from .rootdata import _require_level
+from .symbols import SeifertSymbol, euler_number
+
+if TYPE_CHECKING:  # numpy is imported where it is used: exact-arithmetic callers never load it
+    import numpy as np
 
 __all__ = [
     "InvariantValue",
@@ -95,18 +98,10 @@ def unit_phase(exponent: Fraction) -> complex:
     return cmath.exp(1j * math.pi * float(reduced))
 
 
-def _require_level(r: int) -> None:
-    if not isinstance(r, int) or r < 3 or r % 2 == 0:
-        raise DomainError(f"level r must be an odd integer >= 3, got {r!r}")
-
-
-def _require_closed(symbol: SeifertSymbol) -> None:
-    if symbol.has_boundary:
-        raise DomainError("invariant is defined for closed symbols; double the symbol first")
-
-
 def _fiber_phase_vector(a: int, gamma: int, mu: int, bstar: int, r: int) -> np.ndarray:
     """Phases exp(-2 pi i u(m) / a) for m = 0..a-1, with integer exponents."""
+    import numpy as np
+
     roots = np.exp((-2j * math.pi / a) * np.arange(a))
     exponents = [(m * (gamma + mu * bstar) + r * m * m * bstar) % a for m in range(a)]
     return roots[exponents]
@@ -114,15 +109,17 @@ def _fiber_phase_vector(a: int, gamma: int, mu: int, bstar: int, r: int) -> np.n
 
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, with every term materialized and summed exactly-rounded."""
+    import numpy as np
+
     _require_level(r)
-    _require_closed(symbol)
-    _require_multiplicities(symbol)
+    if symbol.has_boundary:
+        raise DomainError("invariant is defined for closed symbols; double the symbol first")
+    euler = euler_number(symbol)  # rejects multiplicity-0 fibers
     fibers = symbol.fibers
     n = len(fibers)
-    a_eps = 2 if symbol.epsilon == "o" else 1
+    a_eps = symbol.a_eps
     g = symbol.genus
     exponent = n + a_eps * g - 2
-    euler = euler_number(symbol)
     bstars = [mod_inverse(b % a, a) if a > 1 else 0 for a, b in fibers]
 
     blocks: list[np.ndarray] = []
@@ -158,32 +155,35 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
 
 
+def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCertificate | None]:
+    """Check the preconditions the simplified form and the growth bound share.
+
+    Returns (A, k, certificate) with r = k A; certificate is None when B is empty.
+    """
+    _require_level(r)
+    if not symbol.has_boundary:
+        raise DomainError("the simplified form and the lower bound apply to symbols with boundary")
+    if not symbol.fibers or any(a < 2 for a, _ in symbol.fibers):
+        raise DomainError(
+            "the simplified form and the lower bound need at least one fiber and "
+            "every multiplicity >= 2; normalize the symbol to absorb unit fibers"
+        )
+    A = system_modulus(symbol.fibers)
+    if r % A:
+        raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
+    return A, r // A, enumerate_solutions(symbol.fibers)
+
+
 def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """Z of the orientation double of a bounded symbol, via its congruence set.
 
     Requires a bounded symbol with at least one fiber, every a_j >= 2, and a
     level r that is an odd multiple of A = lcm(a_j).
     """
-    _require_level(r)
-    if not symbol.has_boundary:
-        raise DomainError("the simplified form evaluates doubles of bounded symbols")
-    if not symbol.fibers:
-        raise DomainError("the simplified form needs at least one exceptional fiber")
-    if any(a < 2 for a, _ in symbol.fibers):
-        raise DomainError(
-            "every multiplicity must be >= 2 for the simplified form; "
-            "normalize the symbol to absorb unit fibers"
-        )
-    A = system_modulus(symbol.fibers)
-    if r % A:
-        raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
-    k = r // A
-
+    A, k, certificate = _double_setup(symbol, r)
     n = len(symbol.fibers)
-    a_eps = 2 if symbol.epsilon == "o" else 1
-    exponent = 2 * n + 2 * a_eps * symbol.genus - 2
-    certificate = enumerate_solutions(symbol.fibers)
-    if certificate is None or certificate.cardinality == 0:
+    exponent = 2 * n + 2 * symbol.a_eps * symbol.genus - 2
+    if certificate is None:
         return InvariantValue(
             value=0.0,
             r=r,
@@ -212,12 +212,10 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
 def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT invariant of a closed symbol at level r."""
-    _require_level(r)
-    _require_closed(symbol)
-    _require_multiplicities(symbol)
+    z = z_direct(symbol, r)  # validates r and the symbol
     fibers = symbol.fibers
     n = len(fibers)
-    a_eps = 2 if symbol.epsilon == "o" else 1
+    a_eps = symbol.a_eps
     g = symbol.genus
     euler = euler_number(symbol)
     sign_e = (euler > 0) - (euler < 0)
@@ -235,7 +233,6 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
     p3 = unit_phase(Fraction(3 * (1 - a_eps) * sign_e, 4))
 
-    z = z_direct(symbol, r)
     prefactor = p1 * p2 * p3
     return InvariantValue(
         value=prefactor * z.value,

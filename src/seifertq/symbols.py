@@ -98,6 +98,11 @@ class SeifertSymbol:
     def has_boundary(self) -> bool:
         return self.boundary
 
+    @property
+    def a_eps(self) -> int:
+        """a_o = 2 for an orientable base, a_n = 1 for a non-orientable one."""
+        return 2 if self.epsilon == "o" else 1
+
     def __str__(self) -> str:
         fib = ", ".join(f"({a},{b})" for a, b in self.fibers)
         tail = "; boundary" if self.boundary else ""

@@ -10,6 +10,8 @@ reported as such rather than silently discarded.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import DomainError, NumericInconsistencyError
 from .rt import InvariantValue, rt_closed
 from .symbols import SeifertSymbol, double
@@ -19,35 +21,29 @@ __all__ = ["tv_closed", "tv_bounded"]
 _IMAG_TOLERANCE = 1e-9
 
 
+def _tv_from_rt(rt: InvariantValue) -> InvariantValue:
+    """TV of a closed symbol from its RT value: |RT|^2."""
+    return replace(rt, value=abs(rt.value) ** 2, method="tv-closed")
+
+
+def _tv_from_double_rt(rt: InvariantValue) -> InvariantValue:
+    """TV of a bounded symbol from the RT value of its double: the real part."""
+    real, imag = rt.value.real, rt.value.imag
+    if abs(imag) > _IMAG_TOLERANCE * (1.0 + abs(real)):
+        raise NumericInconsistencyError(
+            f"double's invariant should be real; got imaginary part {imag:.3e} "
+            f"against real part {real:.3e} at r={rt.r}"
+        )
+    return replace(rt, value=real, method="tv-bounded")
+
+
 def tv_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """|RT|^2 of a closed symbol."""
-    rt = rt_closed(symbol, r)
-    return InvariantValue(
-        value=abs(rt.value) ** 2,
-        r=r,
-        method="tv-closed",
-        term_count=rt.term_count,
-        term_magnitude_sum=rt.term_magnitude_sum,
-        warnings=rt.warnings,
-    )
+    return _tv_from_rt(rt_closed(symbol, r))
 
 
 def tv_bounded(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT of the orientation double of a bounded symbol; real by construction."""
     if not symbol.has_boundary:
         raise DomainError("tv_bounded expects a symbol with boundary; use tv_closed")
-    rt = rt_closed(double(symbol), r)
-    real, imag = rt.value.real, rt.value.imag
-    if abs(imag) > _IMAG_TOLERANCE * (1.0 + abs(real)):
-        raise NumericInconsistencyError(
-            f"double's invariant should be real; got imaginary part {imag:.3e} "
-            f"against real part {real:.3e} at r={r}"
-        )
-    return InvariantValue(
-        value=real,
-        r=r,
-        method="tv-bounded",
-        term_count=rt.term_count,
-        term_magnitude_sum=rt.term_magnitude_sum,
-        warnings=rt.warnings,
-    )
+    return _tv_from_double_rt(rt_closed(double(symbol), r))

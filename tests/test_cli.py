@@ -29,7 +29,7 @@ def test_rt_torus_bundle(capsys):
     assert payload["value"]["re"] == pytest.approx(6.0, rel=1e-9)
     assert payload["value"]["im"] == pytest.approx(0.0, abs=1e-9)
     assert payload["term_count"] == 6
-    assert payload["threads"] == 1
+    assert "threads" not in payload
     assert "timing_ms" not in payload
 
 

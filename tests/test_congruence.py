@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seifertq import (
     CongruenceCertificate,
@@ -38,6 +40,21 @@ def brute_solutions(fibers, mu):
         for gamma in range(A)
         if all((gamma + m * bs) % a == 0 for (a, _), m, bs in zip(fibers, mu, inverses))
     ]
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    """((x)) = x - floor(x) - 1/2 off the integers, 0 on them."""
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
+
+
+def sawtooth_dedekind(b, a):
+    """Exact s(b, a) = sum_l ((l/a)) ((lb/a)), term by term in O(a)."""
+    return sum(
+        (sawtooth(Fraction(l, a)) * sawtooth(Fraction(l * b, a)) for l in range(1, a)),
+        Fraction(0),
+    )
 
 
 def cotangent_dedekind(b, a):
@@ -110,6 +127,30 @@ def test_dedekind_matches_cotangent_oracle():
                 assert float(dedekind_sum(b, a)) == pytest.approx(
                     cotangent_dedekind(b, a), abs=1e-11
                 )
+
+
+@pytest.mark.parametrize(
+    "b, a",
+    [(68, 69), (105, 53), (150, 151), (399, 200), (299, 300), (693, 694), (-1, 694)],
+)
+def test_dedekind_large_multiplicities(b, a):
+    # the cotangent cross-check once rejected these valid inputs
+    assert dedekind_sum(b, a) == sawtooth_dedekind(b, a)
+
+
+@given(a=st.integers(1, 200), b=st.integers(-400, 400))
+def test_dedekind_matches_sawtooth_oracle(a, b):
+    assume(math.gcd(a, b) == 1)
+    assert dedekind_sum(b, a) == sawtooth_dedekind(b, a)
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=st.integers(1, 10**6), b=st.integers(-(10**7), 10**7))
+def test_dedekind_antisymmetry_and_periodicity_large(a, b):
+    assume(math.gcd(a, b) == 1)
+    value = dedekind_sum(b, a)
+    assert dedekind_sum(-b, a) == -value
+    assert dedekind_sum(b + a, a) == value
 
 
 def test_dedekind_rejects_bad_input():

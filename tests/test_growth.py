@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
+import seifertq.rt
 from seifertq import (
     DegenerateSystemError,
     DomainError,
@@ -49,6 +51,8 @@ def test_bound_preconditions():
         lower_bound(ANCHOR, 30)  # even
     with pytest.raises(DomainError):
         lower_bound(ANCHOR, 25)  # not a multiple of A = 15
+    with pytest.raises(DomainError):
+        lower_bound(ANCHOR, 15.0)  # not an integer
 
 
 def test_unsolvable_system_has_no_bound():
@@ -69,10 +73,24 @@ def test_lemma_holds_at_anchor_levels():
 
 def test_lemma_values_consistent_with_tv():
     check = verify_lemma(ANCHOR, 15)
-    assert check.tv_bounded_value == pytest.approx(tv_bounded(ANCHOR, 15).value, rel=1e-12)
-    assert check.tv_closed_double_value == pytest.approx(
-        tv_closed(double(ANCHOR), 15).value, rel=1e-12
-    )
+    assert check.tv_bounded_value == tv_bounded(ANCHOR, 15).value
+    assert check.tv_closed_double_value == tv_closed(double(ANCHOR), 15).value
+
+
+def test_lemma_evaluates_rt_once(monkeypatch):
+    original = seifertq.rt.rt_closed
+    calls = []
+
+    def counting(symbol, r):
+        calls.append((symbol, r))
+        return original(symbol, r)
+
+    # replace rt_closed at every module that binds it, whichever route is taken
+    for name, module in list(sys.modules.items()):
+        if name.startswith("seifertq") and getattr(module, "rt_closed", None) is original:
+            monkeypatch.setattr(module, "rt_closed", counting)
+    verify_lemma(ANCHOR, 15)
+    assert calls == [(double(ANCHOR), 15)]
 
 
 def test_ltv_scan_decreases_toward_zero():
