@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import time
+from pathlib import Path
 
 from .congruence import certificate_to_dict, classify_system, dedekind_sum, system_modulus
 from .errors import MalformedInputError, SeifertQError
@@ -35,21 +36,21 @@ from .symbols import (
     symbol_from_json,
     symbol_to_dict,
 )
-from .triangulation import load_triangulation
+from .triangulation import parse_triangulation
 from .tv import tv_bounded, tv_closed
 
 SCHEMA_VERSION = 1
 
 
+def _read_input(path: str, kind: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"cannot read {kind} file {path!r}: {exc}") from exc
+
+
 def _load_symbol(source: str) -> SeifertSymbol:
-    if source.startswith("@"):
-        try:
-            text = open(source[1:], "r", encoding="utf-8").read()
-        except OSError as exc:
-            raise MalformedInputError(f"cannot read symbol file {source[1:]!r}: {exc}") from exc
-    else:
-        text = source
-    return symbol_from_json(text)
+    return symbol_from_json(_read_input(source[1:], "symbol") if source.startswith("@") else source)
 
 
 def _complex_dict(value: complex) -> dict:
@@ -87,7 +88,7 @@ def _cmd_tv(args: argparse.Namespace) -> dict:
     if (args.symbol is None) == (args.tri is None):
         raise MalformedInputError("tv needs exactly one of --symbol or --tri")
     if args.tri is not None:
-        tri = load_triangulation(args.tri)
+        tri = parse_triangulation(_read_input(args.tri, "triangulation"))
         inv = tv_statesum(tri, args.r)
         return {
             "triangulation": args.tri,

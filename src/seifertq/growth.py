@@ -108,9 +108,9 @@ class LtvSample:
 def ltv_scan(symbol: SeifertSymbol, levels: list[int]) -> tuple[tuple[LtvSample, ...], float | None]:
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
-    Returns the samples and, when at least two levels are given, the
-    least-squares slope of log |TV_r| against log r (None otherwise).  The
-    slope estimates the polynomial growth exponent of the invariant; a
+    Returns the samples and, when at least two distinct levels are given,
+    the least-squares slope of log |TV_r| against log r (None otherwise).
+    The slope estimates the polynomial growth exponent of the invariant; a
     finite exponent is what forces LTV to 0 along the sampled sequence.
     """
     if not levels:
@@ -124,10 +124,10 @@ def ltv_scan(symbol: SeifertSymbol, levels: list[int]) -> tuple[tuple[LtvSample,
         samples.append(LtvSample(r=r, tv_value=float(inv.value.real), ltv=2.0 * math.pi / r * math.log(magnitude)))
 
     slope: float | None = None
-    if len(samples) >= 2:
-        import numpy as np  # imported here so that the exact-arithmetic paths never load it
-
-        xs = np.log([s.r for s in samples])
-        ys = np.log([abs(s.tv_value) for s in samples])
-        slope = float(np.polyfit(xs, ys, 1)[0])
+    if len(set(levels)) >= 2:
+        xs = [math.log(s.r) for s in samples]
+        ys = [math.log(abs(s.tv_value)) for s in samples]
+        x_mean = math.fsum(xs) / len(xs)
+        dx = [x - x_mean for x in xs]
+        slope = math.fsum(d * y for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
     return tuple(samples), slope

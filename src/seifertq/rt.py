@@ -19,11 +19,18 @@ Dedekind sum, and Z is the finite sum
         * sum_{m in prod Z_{a_j}} prod_j
               exp(-2 pi i (m_j (gamma + mu_j b_j^*) + r m_j^2 b_j^*) / a_j),
 
-where b_j^* is the inverse of b_j modulo a_j.  All phases here are roots of
-unity with exactly representable rational exponents, so they are reduced
-modulo 2 in exact arithmetic before any call to exp; the terms are
-materialized literally (term_count of them) and accumulated with
-exactly-rounded summation.
+where b_j^* is the inverse of b_j modulo a_j.  The sum over m is a product
+of per-fiber quadratic Gauss sums (Lawrence-Rozansky), and then the sum over
+mu factors per fiber too:
+
+    Z = sum_{gamma=1}^{r-1} (the factors above before prod_j) prod_j
+        sum_{mu_j = +-1} mu_j exp(-i pi gamma mu_j / (a_j r)) G_j(gamma mod a_j, mu_j),
+    G_j(c, mu) = sum_{m in Z_{a_j}} exp(-2 pi i (m (c + mu b_j^*) + r m^2 b_j^*) / a_j),
+
+with G_j tabulated for the at most min(a_j, r - 1) residues c that occur.
+The outer phases have exactly representable rational exponents, so they are
+reduced modulo 2 in exact arithmetic before any call to exp; every sum is
+accumulated with exactly-rounded summation.
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -45,16 +52,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from typing import TYPE_CHECKING
 
 from .congruence import CongruenceCertificate, dedekind_sum, enumerate_solutions, mod_inverse, system_modulus
 from .errors import DomainError
 from .rootdata import _require_level
 from .symbols import SeifertSymbol, euler_number
-
-if TYPE_CHECKING:  # numpy is imported where it is used: exact-arithmetic callers never load it
-    import numpy as np
 
 __all__ = [
     "InvariantValue",
@@ -77,8 +79,12 @@ _QUARTER_PHASES = {
 class InvariantValue:
     """A computed invariant together with its numerical provenance.
 
-    term_magnitude_sum is the sum of the absolute values of the materialized
-    terms; value against it measures how much cancellation occurred.
+    term_count and term_magnitude_sum are the number and the summed moduli of
+    the terms of the sum the method stands for, so value against the latter
+    measures cancellation: the literal (gamma, mu, m) sum Z for "direct"
+    (evaluated by per-fiber Gauss sums; "rt" and the TV methods scale it by
+    |P1 P2 P3|), the (gamma, mu, p) closed-form terms for "simplified", and the
+    admissible colorings' weights for "state-sum".
     """
 
     value: complex
@@ -87,6 +93,10 @@ class InvariantValue:
     term_count: int
     term_magnitude_sum: float
     warnings: tuple[str, ...] = field(default=())
+
+
+def _fsum_complex(values: list[complex]) -> complex:
+    return complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
 
 
 def unit_phase(exponent: Fraction) -> complex:
@@ -98,60 +108,46 @@ def unit_phase(exponent: Fraction) -> complex:
     return cmath.exp(1j * math.pi * float(reduced))
 
 
-def _fiber_phase_vector(a: int, gamma: int, mu: int, bstar: int, r: int) -> np.ndarray:
-    """Phases exp(-2 pi i u(m) / a) for m = 0..a-1, with integer exponents."""
-    import numpy as np
-
-    roots = np.exp((-2j * math.pi / a) * np.arange(a))
-    exponents = [(m * (gamma + mu * bstar) + r * m * m * bstar) % a for m in range(a)]
-    return roots[exponents]
-
-
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
-    """The double sum Z, with every term materialized and summed exactly-rounded."""
-    import numpy as np
-
+    """The double sum Z, its inner sum over m taken as one Gauss sum per fiber."""
     _require_level(r)
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     euler = euler_number(symbol)  # rejects multiplicity-0 fibers
     fibers = symbol.fibers
-    n = len(fibers)
     a_eps = symbol.a_eps
     g = symbol.genus
-    exponent = n + a_eps * g - 2
-    bstars = [mod_inverse(b % a, a) if a > 1 else 0 for a, b in fibers]
+    exponent = len(fibers) + a_eps * g - 2
 
-    blocks: list[np.ndarray] = []
-    magnitudes: list[float] = []
+    tables = []  # G_j(c, +1), G_j(c, -1) for the residues c = gamma mod a_j that occur
+    for a, b in fibers:
+        bstar = mod_inverse(b % a, a) if a > 1 else 0
+        roots = [cmath.exp(-2j * math.pi * k / a) for k in range(a)]
+        tables.append({
+            c: [_fsum_complex([roots[(m * (c + mu * bstar) + r * m * m * bstar) % a] for m in range(a)])
+                for mu in (1, -1)]
+            for c in {gamma % a for gamma in range(1, r)}
+        })
+
+    terms, scales = [], []
     for gamma in range(1, r):
-        sine = math.sin(math.pi * gamma / r)
-        gauss = unit_phase(euler * gamma * gamma * Fraction(1, 2 * r))
-        sign = -1.0 if (gamma * a_eps * g) % 2 else 1.0
-        for mu_bits in range(1 << n):
-            mu = [1 if mu_bits >> j & 1 else -1 for j in range(n)]
-            outer = sign * gauss / sine**exponent
-            for j, (a, _) in enumerate(fibers):
-                outer *= mu[j] * unit_phase(Fraction(-gamma * mu[j], a * r))
-            inner = reduce(
-                np.kron,
-                [
-                    _fiber_phase_vector(a, gamma, mu[j], bstars[j], r)
-                    for j, (a, _) in enumerate(fibers)
-                ],
-                np.ones(1, dtype=complex),
-            )
-            blocks.append(outer * inner)
-            magnitudes.append(abs(outer) * len(inner))
+        scale = math.sin(math.pi * gamma / r) ** -exponent
+        term = unit_phase(euler * gamma * gamma * Fraction(1, 2 * r)) * scale
+        if (gamma * a_eps * g) % 2:
+            term = -term
+        for (a, _), table in zip(fibers, tables):
+            plus, minus = table[gamma % a]
+            term *= plus * unit_phase(Fraction(-gamma, a * r)) - minus * unit_phase(Fraction(gamma, a * r))
+        terms.append(term)
+        scales.append(scale)
 
-    terms = np.concatenate(blocks)
-    value = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    per_gamma = 2 ** len(fibers) * math.prod(a for a, _ in fibers)
     return InvariantValue(
-        value=value,
+        value=_fsum_complex(terms),
         r=r,
         method="direct",
-        term_count=len(terms),
-        term_magnitude_sum=math.fsum(magnitudes),
+        term_count=(r - 1) * per_gamma,
+        term_magnitude_sum=per_gamma * math.fsum(scales),
     )
 
 

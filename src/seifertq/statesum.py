@@ -85,8 +85,6 @@ def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iter
 def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
     """Evaluate the state sum of a closed triangulation at level r."""
     ctx = RootContext(r)
-    if not tri.is_closed:
-        raise DomainError("state sums are defined for closed triangulations")
     faces = face_class_triples(tri)
     tet_slots = [tri.tet_edge_classes(t) for t in range(tri.tet_count)]
     bracket = ctx._bracket

@@ -209,6 +209,10 @@ def symbol_to_dict(symbol: SeifertSymbol) -> dict[str, Any]:
     }
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def symbol_from_dict(data: Any) -> SeifertSymbol:
     if not isinstance(data, dict):
         raise MalformedInputError(f"symbol must be an object, got {type(data).__name__}")
@@ -220,12 +224,11 @@ def symbol_from_dict(data: Any) -> SeifertSymbol:
         raise MalformedInputError("fibers must be a list of [a, b] pairs")
     pairs = []
     for entry in fibers:
-        entry = list(entry)
-        if len(entry) != 2 or not all(isinstance(x, int) for x in entry):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(_is_int, entry)):
             raise MalformedInputError(f"bad fiber entry {entry!r}")
         pairs.append((entry[0], entry[1]))
     genus = data["genus"]
-    if not isinstance(genus, int) or isinstance(genus, bool):
+    if not _is_int(genus):
         raise MalformedInputError(f"genus must be an integer, got {genus!r}")
     if not isinstance(data["boundary"], bool):
         raise MalformedInputError("boundary must be true or false")

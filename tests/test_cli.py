@@ -167,6 +167,20 @@ def test_missing_symbol_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_missing_triangulation_file(capsys, tmp_path):
+    code, _, err = run(capsys, "tv", "--tri", f"{tmp_path}/nope.tri", "--r", "5")
+    assert code == 3
+    assert "cannot read triangulation file" in err
+
+
+@pytest.mark.parametrize("fibers", ["[3]", "[[3, true]]"])
+def test_non_pair_fiber_entry_exits_3(capsys, fibers):
+    symbol = f'{{"epsilon": "o", "genus": 1, "fibers": {fibers}, "boundary": true}}'
+    code, _, err = run(capsys, "certify", "--symbol", symbol)
+    assert code == 3
+    assert "bad fiber entry" in err
+
+
 def test_exit_codes(capsys):
     # malformed JSON -> 3
     code, _, _ = run(capsys, "rt", "--symbol", "{broken", "--r", "5")

@@ -117,6 +117,22 @@ def test_ltv_scan_single_level_has_no_slope():
     assert slope is None
 
 
+def test_ltv_scan_repeated_level_has_no_slope():
+    samples, slope = ltv_scan(ANCHOR, [15, 15])
+    assert [s.r for s in samples] == [15, 15]
+    assert slope is None
+
+
+def test_ltv_scan_slope_is_least_squares():
+    samples, slope = ltv_scan(ANCHOR, [15, 45, 75])
+    xs = [math.log(s.r) for s in samples]
+    ys = [math.log(abs(s.tv_value)) for s in samples]
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxy, sxx = sum(x * y for x, y in zip(xs, ys)), sum(x * x for x in xs)
+    assert slope == pytest.approx((n * sxy - sx * sy) / (n * sxx - sx * sx), rel=1e-9)
+
+
 def test_ltv_scan_needs_levels():
     with pytest.raises(DomainError):
         ltv_scan(ANCHOR, [])

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -84,6 +87,7 @@ def test_unit_phase_reduces_large_exponents():
         (SeifertSymbol("n", 1, ((3, 2), (2, 1))), 7),
         (SeifertSymbol("o", 2, ((4, 1), (4, 1))), 7),
         (SeifertSymbol("n", 2, ()), 5),
+        (SeifertSymbol("o", 1, ((1001, 1),)), 3),  # a > r: only r - 1 residues occur
     ],
 )
 def test_z_direct_matches_oracle(symbol, r):
@@ -167,13 +171,22 @@ def test_simplified_hand_value():
     assert z_direct(double(HAND_SYMBOL), 3).value == pytest.approx(-32.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("r", [15, 45])
-def test_simplified_equals_direct_on_double(r):
-    direct = z_direct(double(ANCHOR_SYMBOL), r)
-    simplified = z_double_simplified(ANCHOR_SYMBOL, r)
+@pytest.mark.parametrize(
+    "symbol, r, cardinality",
+    [
+        pytest.param(ANCHOR_SYMBOL, 15, 4, id="15"),
+        pytest.param(ANCHOR_SYMBOL, 45, 4, id="45"),
+        # cancellation here left the literal sum's imaginary part at 3.5e-9 |Z|
+        pytest.param(SeifertSymbol("o", 2, ((3, 1), (11, 7)), boundary=True), 33, 4, id="o2-3.1-11.7-33"),
+    ],
+)
+def test_simplified_equals_direct_on_double(symbol, r, cardinality):
+    direct = z_direct(double(symbol), r)
+    simplified = z_double_simplified(symbol, r)
     assert simplified.value == pytest.approx(direct.value.real, rel=1e-9)
     assert abs(direct.value.imag) < 1e-8 * abs(direct.value.real)
-    assert simplified.term_count == 4 * (r // 15)
+    modulus = math.lcm(*(a for a, _ in symbol.fibers))
+    assert simplified.term_count == cardinality * (r // modulus)
 
 
 def test_simplified_frozen_anchor():
@@ -210,6 +223,18 @@ def test_simplified_preconditions():
         z_double_simplified(HAND_SYMBOL, 5)  # 5 is not a multiple of A = 3
     with pytest.raises(DomainError):
         z_double_simplified(HAND_SYMBOL, 6)  # even
+
+
+def test_import_and_evaluation_leave_numpy_unloaded():
+    code = (
+        "import sys, seifertq as sq\n"
+        "sq.ltv_scan(sq.SeifertSymbol('o', 1, ((3, 1), (5, 1)), boundary=True), [15, 45])\n"
+        "sq.rt_closed(sq.SeifertSymbol('o', 1, ((3, 1), (5, 2))), 7)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_magnitude_accounting():

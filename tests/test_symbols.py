@@ -174,6 +174,10 @@ def test_json_round_trip():
         '{"epsilon": "o", "genus": 1, "fibers": 3, "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [[3]], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [[3, "x"]], "boundary": false}',
+        '{"epsilon": "o", "genus": 1, "fibers": [3], "boundary": true}',
+        '{"epsilon": "o", "genus": 1, "fibers": [null], "boundary": true}',
+        '{"epsilon": "o", "genus": 1, "fibers": [[3, true]], "boundary": false}',
+        '{"epsilon": "o", "genus": 1, "fibers": [[true, 0]], "boundary": false}',
         '{"epsilon": "o", "genus": 1.5, "fibers": [], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [], "boundary": "yes"}',
         "not json at all",
