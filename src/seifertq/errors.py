@@ -1,10 +1,15 @@
 """Exception hierarchy shared across the package.
 
 Each class carries the process exit code the command line tool maps it to,
-so the CLI never needs a type table of its own.
+so the CLI never needs a type table of its own.  ``_in_float_range`` turns
+a float overflow in any evaluator into the same ``DomainError``.
 """
 
 from __future__ import annotations
+
+import cmath
+import dataclasses
+import functools
 
 
 class SeifertQError(Exception):
@@ -41,3 +46,26 @@ class NumericInconsistencyError(SeifertQError):
     """A numerical self-check failed; signals a formula or convention bug."""
 
     exit_code = 5
+
+
+def _in_float_range(evaluate):
+    """Make an evaluator raise DomainError when its value leaves the float range.
+
+    An overflowing float power or fsum raises OverflowError and an
+    overflowing product gives inf or nan; every float field of the result
+    (or the result itself) must be finite, so callers get exit code 4 rather
+    than a traceback or a non-finite number in their output.
+    """
+
+    @functools.wraps(evaluate)
+    def checked(*args, **kwargs):
+        try:
+            result = evaluate(*args, **kwargs)
+        except OverflowError:
+            result = float("inf")
+        fields = vars(result).values() if dataclasses.is_dataclass(result) else (result,)
+        if not all(cmath.isfinite(x) for x in fields if isinstance(x, (float, complex))):
+            raise DomainError(f"{evaluate.__name__}: the value exceeds the float range")
+        return result
+
+    return checked

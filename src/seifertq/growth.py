@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSystemError, DomainError
+from .errors import DegenerateSystemError, DomainError, _in_float_range
 from .rt import _double_setup, rt_closed
 from .symbols import SeifertSymbol, double
 from .tv import _tv_from_double_rt, _tv_from_rt, tv_bounded, tv_closed
@@ -40,6 +40,7 @@ class LowerBound:
     warnings: tuple[str, ...] = ()
 
 
+@_in_float_range
 def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
     """Growth lower bound for a bounded symbol at an admissible level r = k A."""
     A, k, certificate = _double_setup(symbol, r)
@@ -82,6 +83,7 @@ class LemmaCheck:
         )
 
 
+@_in_float_range
 def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
     """Compare the bound against the actual invariants at level r.
 

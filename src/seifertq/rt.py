@@ -24,13 +24,24 @@ of per-fiber quadratic Gauss sums (Lawrence-Rozansky), and then the sum over
 mu factors per fiber too:
 
     Z = sum_{gamma=1}^{r-1} (the factors above before prod_j) prod_j
-        sum_{mu_j = +-1} mu_j exp(-i pi gamma mu_j / (a_j r)) G_j(gamma mod a_j, mu_j),
-    G_j(c, mu) = sum_{m in Z_{a_j}} exp(-2 pi i (m (c + mu b_j^*) + r m^2 b_j^*) / a_j),
+        sum_{mu_j = +-1} mu_j exp(-i pi gamma mu_j / (a_j r)) H_j((gamma + mu_j b_j^*) mod a_j),
+    H_j(t) = sum_{m in Z_{a_j}} exp(-2 pi i (t m + r b_j^* m^2) / a_j).
 
-with G_j tabulated for the at most min(a_j, r - 1) residues c that occur.
-The outer phases have exactly representable rational exponents, so they are
-reduced modulo 2 in exact arithmetic before any call to exp; every sum is
-accumulated with exactly-rounded summation.
+H_j is tabulated once per fiber, for the t that occur.  Let d = gcd(r, a_j),
+which is gcd(r b_j^*, a_j).  Writing m = m' + (a_j / d) m'' leaves the
+quadratic term blind to m'', so the sum over m'' vanishes unless d | t, and
+
+    H_j(t) = d sum_{m in Z_{a_j / d}} exp(-2 pi i ((t/d) m + (r b_j^*/d) m^2) / (a_j / d))
+
+when d | t.  A table therefore costs at most (a_j / d) min(a_j, r) terms, and
+Z costs O(r n + sum_j (a_j / d_j) min(a_j, r)).  When a_j | r, as for every
+fiber of a double at r = k lcm(a_j), the table is the single exact entry
+H_j(t) = a_j [t == 0 mod a_j]: a gamma contributes only if, for every j,
+gamma == -mu_j b_j^* (mod a_j) for some mu_j, the congruence system below.
+Every phase is exp(i pi num / den) for integers num and den, reduced modulo 2
+in integer arithmetic and exact at quarter turns, so the only rounding
+before exp is the one of num / den; every sum is accumulated with
+exactly-rounded summation.
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -54,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .congruence import CongruenceCertificate, dedekind_sum, enumerate_solutions, mod_inverse, system_modulus
-from .errors import DomainError
+from .errors import DomainError, _in_float_range
 from .rootdata import _require_level
 from .symbols import SeifertSymbol, euler_number
 
@@ -67,12 +78,7 @@ __all__ = [
     "verlinde_dimension",
 ]
 
-_QUARTER_PHASES = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 2): 1j,
-    Fraction(1): -1 + 0j,
-    Fraction(3, 2): -1j,
-}
+_QUARTER_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # exp(i pi k / 2), k = 0..3
 
 
 @dataclass(frozen=True)
@@ -99,55 +105,76 @@ def _fsum_complex(values: list[complex]) -> complex:
     return complex(math.fsum(z.real for z in values), math.fsum(z.imag for z in values))
 
 
+def _phase(num: int, den: int) -> complex:
+    """exp(i pi num / den) for integers num and den >= 1, reduced modulo 2 before rounding."""
+    num %= 2 * den
+    if 2 * num % den == 0:
+        return _QUARTER_PHASES[2 * num // den]
+    return cmath.exp(1j * math.pi * (num / den))
+
+
 def unit_phase(exponent: Fraction) -> complex:
     """exp(i pi x) for exact rational x, reduced modulo 2 before rounding."""
-    reduced = exponent % 2
-    exact = _QUARTER_PHASES.get(reduced)
-    if exact is not None:
-        return exact
-    return cmath.exp(1j * math.pi * float(reduced))
+    return _phase(exponent.numerator, exponent.denominator)
 
 
+def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
+    """H(t) = sum_{m in Z_a} exp(-2 pi i (t m + r b^* m^2) / a) for the t that occur, where d | t.
+
+    With d = gcd(r, a), H(t) = d sum_{m in Z_{a/d}} exp(-2 pi i ((t/d) m + (r b^*/d) m^2) / (a/d))
+    when d | t and 0 otherwise; the t that occur are (gamma +- b^*) mod a, 0 < gamma < r.
+    """
+    d = math.gcd(r, a)
+    reduced, quad = a // d, r * bstar % a // d
+    if r > a:
+        ts = range(0, a, d)
+    else:
+        ts = {t for gamma in range(1, r) for t in ((gamma + bstar) % a, (gamma - bstar) % a) if t % d == 0}
+    roots = [cmath.exp(-2j * math.pi * k / reduced) for k in range(reduced)]
+    return {
+        t: d * _fsum_complex([roots[(t // d * m + quad * m * m) % reduced] for m in range(reduced)])
+        for t in ts
+    }
+
+
+@_in_float_range
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber."""
     _require_level(r)
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     euler = euler_number(symbol)  # rejects multiplicity-0 fibers
-    fibers = symbol.fibers
-    a_eps = symbol.a_eps
-    g = symbol.genus
-    exponent = len(fibers) + a_eps * g - 2
-
-    tables = []  # G_j(c, +1), G_j(c, -1) for the residues c = gamma mod a_j that occur
-    for a, b in fibers:
+    exponent = symbol.fiber_count + symbol.a_eps * symbol.genus - 2
+    odd_sign = symbol.a_eps * symbol.genus % 2
+    fibers = []  # (a, b^* mod a, H) per fiber
+    for a, b in symbol.fibers:
         bstar = mod_inverse(b % a, a) if a > 1 else 0
-        roots = [cmath.exp(-2j * math.pi * k / a) for k in range(a)]
-        tables.append({
-            c: [_fsum_complex([roots[(m * (c + mu * bstar) + r * m * m * bstar) % a] for m in range(a)])
-                for mu in (1, -1)]
-            for c in {gamma % a for gamma in range(1, r)}
-        })
+        fibers.append((a, bstar, _gauss_table(a, bstar, r)))
 
     terms, scales = [], []
     for gamma in range(1, r):
         scale = math.sin(math.pi * gamma / r) ** -exponent
-        term = unit_phase(euler * gamma * gamma * Fraction(1, 2 * r)) * scale
-        if (gamma * a_eps * g) % 2:
-            term = -term
-        for (a, _), table in zip(fibers, tables):
-            plus, minus = table[gamma % a]
-            term *= plus * unit_phase(Fraction(-gamma, a * r)) - minus * unit_phase(Fraction(gamma, a * r))
-        terms.append(term)
         scales.append(scale)
+        term = -scale if gamma & odd_sign else scale
+        for a, bstar, table in fibers:
+            plus = table.get((gamma + bstar) % a, 0)
+            minus = table.get((gamma - bstar) % a, 0)
+            if not (plus or minus):
+                break  # the whole product vanishes
+            phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
+            term *= phase.conjugate() * plus - phase * minus
+        else:
+            terms.append(term * _phase(euler.numerator * gamma * gamma, 2 * r * euler.denominator))
 
-    per_gamma = 2 ** len(fibers) * math.prod(a for a, _ in fibers)
+    per_gamma = 2 ** len(fibers) * math.prod(a for a, _, _ in fibers)
+    magnitude = per_gamma * math.fsum(scales)
     return InvariantValue(
-        value=_fsum_complex(terms),
+        # magnitude bounds every |term|; past the float range fsum could meet inf - inf
+        value=_fsum_complex(terms) if magnitude < math.inf else magnitude,
         r=r,
         method="direct",
         term_count=(r - 1) * per_gamma,
-        term_magnitude_sum=per_gamma * math.fsum(scales),
+        term_magnitude_sum=magnitude,
     )
 
 
@@ -170,6 +197,7 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCe
     return A, r // A, enumerate_solutions(symbol.fibers)
 
 
+@_in_float_range
 def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """Z of the orientation double of a bounded symbol, via its congruence set.
 
@@ -206,6 +234,7 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
 
 
+@_in_float_range
 def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT invariant of a closed symbol at level r."""
     z = z_direct(symbol, r)  # validates r and the symbol
@@ -240,6 +269,7 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
 
 
+@_in_float_range
 def verlinde_dimension(genus: int, r: int) -> float:
     """dim of the level-r space on a genus-g surface: (r/2)^{g-1} sum sin^{2-2g}."""
     _require_level(r)

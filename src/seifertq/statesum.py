@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, _in_float_range
 from .rootdata import RootContext, tet_symbol, theta
 from .rt import InvariantValue
 from .triangulation import EDGE_SLOTS, Triangulation, _FACE_VERTICES
@@ -82,6 +82,7 @@ def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iter
     yield from extend(0)
 
 
+@_in_float_range
 def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
     """Evaluate the state sum of a closed triangulation at level r."""
     ctx = RootContext(r)

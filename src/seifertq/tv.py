@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import DomainError, NumericInconsistencyError
+from .errors import DomainError, NumericInconsistencyError, _in_float_range
 from .rt import InvariantValue, rt_closed
 from .symbols import SeifertSymbol, double
 
@@ -37,11 +37,13 @@ def _tv_from_double_rt(rt: InvariantValue) -> InvariantValue:
     return replace(rt, value=real, method="tv-bounded")
 
 
+@_in_float_range
 def tv_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """|RT|^2 of a closed symbol."""
     return _tv_from_rt(rt_closed(symbol, r))
 
 
+@_in_float_range
 def tv_bounded(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT of the orientation double of a bounded symbol; real by construction."""
     if not symbol.has_boundary:

@@ -197,6 +197,21 @@ def test_exit_codes(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "genus",
+    [
+        pytest.param(700, id="power-overflows"),  # sin^-(2g-2) raised OverflowError
+        pytest.param(300, id="product-overflows"),  # printed "re": Infinity and exited 0
+    ],
+)
+def test_value_beyond_float_range_exits_4(capsys, genus):
+    symbol = f'{{"epsilon": "o", "genus": {genus}, "fibers": [], "boundary": false}}'
+    code, out, err = run(capsys, "rt", "--symbol", symbol, "--r", "7")
+    assert code == 4
+    assert out == ""
+    assert "exceeds the float range" in err
+
+
 def test_malformed_triangulation_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.tri"
     path.write_text("tet 0: - - -\n")

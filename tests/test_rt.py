@@ -16,18 +16,23 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifertq import (
     DomainError,
     SeifertSymbol,
     double,
     euler_number,
+    lower_bound,
     rt_closed,
+    tv_closed,
     unit_phase,
     verlinde_dimension,
     z_direct,
     z_double_simplified,
 )
+from seifertq.rt import _phase
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -76,6 +81,26 @@ def test_unit_phase_reduces_large_exponents():
     assert unit_phase(huge) == pytest.approx(unit_phase(small), abs=1e-15)
 
 
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@given(
+    p=st.one_of(st.integers(-100, 100), st.integers(-(10**30), 10**30)),
+    q=st.integers(1, 100),
+    scale=st.integers(1, 5),
+)
+def test_unit_phase_rounds_once_after_exact_reduction(p, q, scale):
+    x = Fraction(p, q)
+    got = unit_phase(x)
+    assert _bits(_phase(p * scale, q * scale)) == _bits(got)  # the same bits from an unreduced fraction
+    if (2 * x).denominator == 1:
+        assert got == (1, 1j, -1, -1j)[int(2 * x) % 4]
+    else:
+        want = cmath.exp(1j * math.pi * float(x % 2))
+        assert _bits(got) == _bits(want)
+
+
 # -- z_direct ---------------------------------------------------------------------
 
 
@@ -88,6 +113,13 @@ def test_unit_phase_reduces_large_exponents():
         (SeifertSymbol("o", 2, ((4, 1), (4, 1))), 7),
         (SeifertSymbol("n", 2, ()), 5),
         (SeifertSymbol("o", 1, ((1001, 1),)), 3),  # a > r: only r - 1 residues occur
+        # one case per regime of the Gauss table, split by d = gcd(r, a)
+        pytest.param(SeifertSymbol("n", 1, ((7, 3), (4, 1))), 9, id="gcd-1"),
+        pytest.param(SeifertSymbol("o", 1, ((9, 2),)), 15, id="gcd-3-of-9-vanishing"),
+        pytest.param(SeifertSymbol("o", 1, ((9, 4),)), 15, id="gcd-3-of-9"),
+        pytest.param(SeifertSymbol("o", 1, ((25, 1), (3, 1))), 15, id="gcd-5-of-25-and-a-divides-r"),
+        pytest.param(double(SeifertSymbol("n", 1, ((3, 2),), boundary=True)), 9, id="double-r-3A"),
+        pytest.param(double(SeifertSymbol("o", 1, ((3, 1), (5, 2)), boundary=True)), 15, id="double-r-A"),
     ],
 )
 def test_z_direct_matches_oracle(symbol, r):
@@ -146,6 +178,23 @@ def test_rt_conjugates_under_orientation_reversal():
 # -- verlinde ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        pytest.param(lambda: verlinde_dimension(400, 7), id="verlinde-product"),
+        pytest.param(lambda: z_direct(SeifertSymbol("o", 700), 7), id="z_direct-power"),
+        # the terms reach +inf and -inf, on which fsum raises ValueError
+        pytest.param(lambda: z_direct(SeifertSymbol("n", 1331, ((5, 1), (5, -1))), 5), id="z_direct-inf-minus-inf"),
+        pytest.param(lambda: rt_closed(SeifertSymbol("o", 300), 7), id="rt_closed-product"),
+        pytest.param(lambda: tv_closed(SeifertSymbol("o", 160), 7), id="tv_closed-square"),
+        pytest.param(lambda: lower_bound(SeifertSymbol("o", 700, ((3, 1),), boundary=True), 3), id="lower_bound-power"),
+    ],
+)
+def test_value_beyond_float_range_is_a_domain_error(evaluate):
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        evaluate()
+
+
 def test_verlinde_values():
     assert verlinde_dimension(1, 7) == pytest.approx(6.0)
     assert verlinde_dimension(2, 3) == pytest.approx(4.0)
@@ -187,6 +236,24 @@ def test_simplified_equals_direct_on_double(symbol, r, cardinality):
     assert abs(direct.value.imag) < 1e-8 * abs(direct.value.real)
     modulus = math.lcm(*(a for a, _ in symbol.fibers))
     assert simplified.term_count == cardinality * (r // modulus)
+
+
+@st.composite
+def odd_modulus_symbols(draw):
+    """Bounded symbols with 1-3 fibers of odd multiplicity <= 15, so A = lcm(a_j) is odd."""
+    fibers = []
+    for a in draw(st.lists(st.sampled_from(range(3, 16, 2)), min_size=1, max_size=3)):
+        fibers.append((a, draw(st.sampled_from([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, b) == 1]))))
+    return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 2)), tuple(fibers), boundary=True)
+
+
+@settings(deadline=None)
+@given(symbol=odd_modulus_symbols(), k=st.sampled_from((1, 3)))
+def test_simplified_matches_direct_property(symbol, k):
+    r = k * math.lcm(*(a for a, _ in symbol.fibers))
+    direct = z_direct(double(symbol), r)
+    simplified = z_double_simplified(symbol, r)
+    assert abs(direct.value - simplified.value) <= 1e-14 * direct.term_magnitude_sum
 
 
 def test_simplified_frozen_anchor():
