@@ -11,6 +11,13 @@ Reshetikhin-Turaev sum of the doubled symbol that survive total cancellation,
 so the solvability of this system is exactly what a growth certificate
 records.
 
+The solutions come from one Chinese-remainder fold over the fibers that
+keeps every surviving pair (gamma mod M, sign prefix), M the lcm so far.
+With g = gcd(M, a_j), merging in fiber j needs the inverse of M/g modulo
+a_j/g, which does not depend on the signs, so the fold inverts once per
+fiber, drops a prefix as soon as it is incompatible, and costs in proportion
+to the surviving partial solutions, at most 2^n.
+
 The solution set is closed under the involution (gamma, mu) ->
 (A - gamma, -mu); fibers with a_j = 1 impose no constraint and contribute a
 free sign, doubling the solution count per unit fiber.
@@ -36,15 +43,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Any, Optional, Sequence
 
-from .errors import (
-    DegenerateSystemError,
-    DomainError,
-    NonInvertibleError,
-    NumericInconsistencyError,
-)
+from .errors import DomainError, NonInvertibleError, NumericInconsistencyError
 
 __all__ = [
     "mod_inverse",
@@ -128,31 +129,41 @@ def system_modulus(fibers: Sequence[Fiber]) -> int:
     return math.lcm(*(a for a, _ in _fiber_constraints(fibers)))
 
 
+def _crt_fold(constraints: Sequence[Fiber], signs: Sequence[Sequence[int]]) -> tuple[list, int]:
+    """Solutions (gamma mod M, mu) with mu_j in signs[j], and M = lcm(a_j) if any survive."""
+    partial, modulus = [(0, ())], 1
+    for (a, bstar), allowed in zip(constraints, signs):
+        g = math.gcd(modulus, a)
+        reduced = a // g
+        lift_inverse = mod_inverse(modulus // g % reduced, reduced)
+        merged = []
+        for residue, prefix in partial:
+            for m in allowed:
+                gap = (-m * bstar) % a - residue
+                if gap % g == 0:
+                    lift = gap // g * lift_inverse % reduced
+                    merged.append((residue + modulus * lift, prefix + (m,)))
+        partial, modulus = merged, modulus * reduced
+        if not partial:
+            break
+    return partial, modulus
+
+
 def solve_system(fibers: Sequence[Fiber], mu: Sequence[int]) -> Optional[tuple[int, int]]:
-    """Solve gamma + mu_j b_j* == 0 (mod a_j) for all j by iterated CRT.
+    """Solve gamma + mu_j b_j* == 0 (mod a_j) for all j by the CRT fold.
 
     Returns (gamma, A) with gamma the least non-negative solution modulo
     A = lcm(a_j), or None when the system is incompatible.  Compatibility of
     a pair of congruences is the pairwise condition
-    mu_s b_s* == mu_t b_t* (mod gcd(a_s, a_t)); the iterated merge below
-    realizes exactly that criterion.
+    mu_s b_s* == mu_t b_t* (mod gcd(a_s, a_t)); the fold, here with one
+    allowed sign per fiber, realizes exactly that criterion.
     """
     if len(mu) != len(fibers):
         raise DomainError(f"sign vector length {len(mu)} != fiber count {len(fibers)}")
     if any(m not in (1, -1) for m in mu):
         raise DomainError(f"sign vector entries must be +-1, got {tuple(mu)}")
-    residue, modulus = 0, 1
-    for (a, bstar), m in zip(_fiber_constraints(fibers), mu):
-        target = (-m * bstar) % a
-        g = math.gcd(modulus, a)
-        if (target - residue) % g != 0:
-            return None
-        step = modulus // g
-        lift = ((target - residue) // g * mod_inverse(step % (a // g), a // g)) % (a // g)
-        residue += modulus * lift
-        modulus = math.lcm(modulus, a)
-        residue %= modulus
-    return residue, modulus
+    solutions, modulus = _crt_fold(_fiber_constraints(fibers), [(m,) for m in mu])
+    return (solutions[0][0], modulus) if solutions else None
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,9 @@ class CongruenceCertificate:
 def enumerate_solutions(fibers: Sequence[Fiber]) -> Optional[CongruenceCertificate]:
     """All solutions of the congruence system, or None when there are none.
 
+    One CRT fold over the fibers tries both signs of each against every
+    surviving partial solution, so each b_j* and each lift inverse is
+    computed once and the cost follows the surviving prefixes (at most 2^n).
     A symbol with no fiber of multiplicity >= 2 yields a degenerate
     certificate: A = 1 (or every congruence vacuous), an empty solution set,
     and gamma = 0 as a placeholder.
@@ -187,22 +201,14 @@ def enumerate_solutions(fibers: Sequence[Fiber]) -> Optional[CongruenceCertifica
     constraints = _fiber_constraints(fibers)
     n = len(fibers)
     if all(a == 1 for a, _ in constraints):
-        return CongruenceCertificate(
-            gamma=0, mu=(1,) * n, modulus=1, set_b=(), degenerate=True
-        )
-    solutions = []
-    for mu in product((1, -1), repeat=n):
-        solved = solve_system(fibers, mu)
-        if solved is not None and solved[0] != 0:
-            solutions.append((solved[0], mu))
+        return CongruenceCertificate(gamma=0, mu=(1,) * n, modulus=1, set_b=(), degenerate=True)
+    # gamma = 0 would need b_j* == 0 (mod a_j), that is a_j = 1, for every j
+    solutions, modulus = _crt_fold(constraints, [(1, -1)] * n)
+    solutions.sort()
     if not solutions:
         return None
-    solutions.sort()
     gamma, mu = solutions[0]
-    modulus = math.lcm(*(a for a, _ in constraints))
-    return CongruenceCertificate(
-        gamma=gamma, mu=mu, modulus=modulus, set_b=tuple(solutions)
-    )
+    return CongruenceCertificate(gamma=gamma, mu=mu, modulus=modulus, set_b=tuple(solutions))
 
 
 @dataclass(frozen=True)
@@ -225,34 +231,23 @@ class SystemClassification:
 
 def classify_system(fibers: Sequence[Fiber]) -> SystemClassification:
     """Classify the congruence system attached to a fiber list."""
-    constraints = _fiber_constraints(fibers)
-    certificate = enumerate_solutions(fibers)
-    moduli = [a for a, _ in constraints]
+    certificate = enumerate_solutions(fibers)  # validates the fibers
+    moduli = [a for a, _ in fibers]
 
     warnings = []
     if certificate is not None and certificate.modulus % 2 == 0:
-        warnings.append(
-            f"A = {certificate.modulus} is even; no odd level r is divisible by A"
-        )
+        warnings.append(f"A = {certificate.modulus} is even; no odd level r is divisible by A")
     if certificate is not None and certificate.degenerate:
         warnings.append("no fiber of multiplicity >= 2: congruence system is vacuous")
 
-    pairwise_coprime = all(
-        math.gcd(moduli[s], moduli[t]) == 1
-        for s in range(len(moduli))
-        for t in range(s + 1, len(moduli))
-    )
-    if pairwise_coprime:
+    if math.prod(moduli) == math.lcm(*moduli):  # pairwise coprime
         case = "pairwise-coprime"
+    elif certificate is None:
+        case = "no-solution"
+    elif len({a for a in moduli if a >= 2}) == 1:
+        case = "equal-moduli"
     else:
-        multiple = [(a, bs) for a, bs in constraints if a >= 2]
-        all_equal = len({a for a, _ in multiple}) == 1
-        if all_equal and certificate is not None:
-            case = "equal-moduli"
-        elif certificate is not None:
-            case = "pairwise-gcd"
-        else:
-            case = "no-solution"
+        case = "pairwise-gcd"
     return SystemClassification(
         case=case, certificate=certificate, warnings=tuple(warnings)
     )

@@ -64,7 +64,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .congruence import CongruenceCertificate, dedekind_sum, enumerate_solutions, mod_inverse, system_modulus
+from .congruence import CongruenceCertificate, _fiber_constraints, dedekind_sum, enumerate_solutions, system_modulus
 from .errors import DomainError, _in_float_range
 from .rootdata import _require_level
 from .symbols import SeifertSymbol, euler_number
@@ -146,10 +146,7 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     euler = euler_number(symbol)  # rejects multiplicity-0 fibers
     exponent = symbol.fiber_count + symbol.a_eps * symbol.genus - 2
     odd_sign = symbol.a_eps * symbol.genus % 2
-    fibers = []  # (a, b^* mod a, H) per fiber
-    for a, b in symbol.fibers:
-        bstar = mod_inverse(b % a, a) if a > 1 else 0
-        fibers.append((a, bstar, _gauss_table(a, bstar, r)))
+    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in _fiber_constraints(symbol.fibers)]
 
     terms, scales = [], []
     for gamma in range(1, r):

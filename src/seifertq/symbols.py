@@ -232,6 +232,8 @@ def symbol_from_dict(data: Any) -> SeifertSymbol:
         raise MalformedInputError(f"genus must be an integer, got {genus!r}")
     if not isinstance(data["boundary"], bool):
         raise MalformedInputError("boundary must be true or false")
+    if not isinstance(data["epsilon"], str):
+        raise MalformedInputError(f"epsilon must be a string, got {data['epsilon']!r}")
     return SeifertSymbol(
         epsilon=data["epsilon"],
         genus=genus,

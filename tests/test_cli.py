@@ -185,6 +185,10 @@ def test_exit_codes(capsys):
     # malformed JSON -> 3
     code, _, _ = run(capsys, "rt", "--symbol", "{broken", "--r", "5")
     assert code == 3
+    # wrongly typed epsilon -> 3, like a wrongly typed genus
+    code, _, err = run(capsys, "rt", "--symbol", '{"epsilon": 1, "genus": 1, "fibers": [], "boundary": false}', "--r", "5")
+    assert code == 3
+    assert "epsilon must be a string" in err
     # semantically invalid symbol -> 4
     bad = '{"epsilon": "q", "genus": 1, "fibers": [], "boundary": false}'
     code, _, _ = run(capsys, "rt", "--symbol", bad, "--r", "5")

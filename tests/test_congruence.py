@@ -153,6 +153,14 @@ def test_dedekind_antisymmetry_and_periodicity_large(a, b):
     assert dedekind_sum(b + a, a) == value
 
 
+@settings(max_examples=10, deadline=None)
+@given(a=st.integers(1, 10**5), b=st.integers(1, 10**5))
+def test_dedekind_reciprocity_large(a, b):
+    assume(math.gcd(a, b) == 1)
+    lhs = dedekind_sum(b, a) + dedekind_sum(a, b)
+    assert lhs == Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a) + Fraction(1, a * b)) / 12
+
+
 def test_dedekind_rejects_bad_input():
     with pytest.raises(DomainError):
         dedekind_sum(2, 4)
@@ -257,6 +265,61 @@ def test_unit_fibers_double_the_solution_count():
     assert padded.cardinality == 2 * plain.cardinality
 
 
+@st.composite
+def fiber_lists(draw):
+    """Up to 5 fibers with a <= 15, unit fibers and repeated moduli included, coprime b in [-2a, 2a]."""
+    moduli = draw(st.lists(st.integers(1, 15), max_size=5))
+    return tuple(
+        (a, draw(st.sampled_from([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, b) == 1])))
+        for a in moduli
+    )
+
+
+@settings(deadline=None)
+@given(fibers=fiber_lists())
+def test_enumerate_solutions_matches_brute_force_property(fibers):
+    expected = sorted(
+        (gamma, mu)
+        for mu in product((1, -1), repeat=len(fibers))
+        for gamma in brute_solutions(fibers, mu)
+        if gamma != 0
+    )
+    cert = enumerate_solutions(fibers)
+    degenerate = all(a == 1 for a, _ in fibers)
+    assert (cert is not None and cert.degenerate) == degenerate
+    if degenerate:
+        assert (cert.modulus, cert.set_b) == (1, ())
+    elif not expected:
+        assert cert is None
+    else:
+        assert cert.modulus == math.lcm(*(a for a, _ in fibers))
+        assert cert.set_b == tuple(expected)
+        assert (cert.gamma, cert.mu) == expected[0]
+
+
+@settings(deadline=None)
+@given(fibers=fiber_lists())
+def test_solution_set_closed_under_involution_property(fibers):
+    cert = enumerate_solutions(fibers)
+    assume(cert is not None)
+    members = set(cert.set_b)
+    for gamma, mu in members:
+        assert (cert.modulus - gamma, tuple(-m for m in mu)) in members
+
+
+@given(data=st.data())
+def test_solve_system_matches_brute_force_property(data):
+    fibers = data.draw(fiber_lists())
+    mu = data.draw(st.tuples(*(st.sampled_from((1, -1)) for _ in fibers)))
+    expected = brute_solutions(fibers, mu)
+    got = solve_system(fibers, mu)
+    if expected:
+        assert got == (expected[0], math.lcm(*(a for a, _ in fibers)))
+        assert len(expected) == 1
+    else:
+        assert got is None
+
+
 # -- classification ----------------------------------------------------------------
 
 
@@ -297,6 +360,13 @@ def test_classify_degenerate_warns():
     cls = classify_system(((1, 0),))
     assert cls.certificate.degenerate
     assert any("vacuous" in w for w in cls.warnings)
+
+
+@given(fibers=fiber_lists())
+def test_classify_pairwise_coprime_property(fibers):
+    moduli = [a for a, _ in fibers]
+    coprime = all(math.gcd(moduli[s], moduli[t]) == 1 for s in range(len(moduli)) for t in range(s))
+    assert (classify_system(fibers).case == "pairwise-coprime") == coprime
 
 
 def test_certificate_serialization():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seifertq import (
     DomainError,
@@ -150,6 +153,22 @@ def test_normalize_idempotent_and_euler_preserving(fibers):
     assert euler_number(n) == euler_number(s)
 
 
+@st.composite
+def symbols(draw):
+    """Closed or bounded symbols with up to 4 fibers, transient (0, +-1) pairs and unit fibers included."""
+    fibers = [
+        (a, draw(st.sampled_from([b for b in range(-2 * a - 1, 2 * a + 2) if math.gcd(a, b) == 1])))
+        for a in draw(st.lists(st.integers(0, 12), max_size=4))
+    ]
+    return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 3)), tuple(fibers), draw(st.booleans()))
+
+
+@given(symbol=symbols())
+def test_normalize_idempotent_property(symbol):
+    canonical = normalize(symbol)
+    assert normalize(canonical) == canonical
+
+
 def test_normalize_bounded_shifts_are_unconstrained():
     s = SeifertSymbol("n", 2, ((3, 7), (5, -4), (1, 2)), boundary=True)
     n = normalize(s)
@@ -180,6 +199,9 @@ def test_json_round_trip():
         '{"epsilon": "o", "genus": 1, "fibers": [[true, 0]], "boundary": false}',
         '{"epsilon": "o", "genus": 1.5, "fibers": [], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [], "boundary": "yes"}',
+        '{"epsilon": 1, "genus": 1, "fibers": [], "boundary": false}',
+        '{"epsilon": ["o"], "genus": 1, "fibers": [], "boundary": false}',
+        '{"epsilon": null, "genus": 1, "fibers": [], "boundary": true}',
         "not json at all",
     ],
 )
