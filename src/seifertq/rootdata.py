@@ -141,12 +141,12 @@ def is_admissible(ctx: RootContext, i: int, j: int, k: int) -> bool:
     """Admissibility of a color triple at level r."""
     for c in (i, j, k):
         ctx._check_color(c)
-    return (
-        i <= j + k
-        and j <= i + k
-        and k <= i + j
-        and i + j + k <= 2 * (ctx.r - 2)
-    )
+    return _admissible(ctx, i, j, k)
+
+
+def _admissible(ctx: RootContext, i: int, j: int, k: int) -> bool:
+    """The triangle inequalities and the ceiling, for colors already in I_r."""
+    return i <= j + k and j <= i + k and k <= i + j and i + j + k <= 2 * (ctx.r - 2)
 
 
 def _require_admissible(ctx: RootContext, i: int, j: int, k: int) -> None:
@@ -174,6 +174,10 @@ def _delta(ctx: RootContext, i: int, j: int, k: int) -> complex:
 def theta(ctx: RootContext, i: int, j: int, k: int) -> float:
     """Theta graph weight of an admissible triple (real)."""
     _require_admissible(ctx, i, j, k)
+    return _theta(ctx, i, j, k)
+
+
+def _theta(ctx: RootContext, i: int, j: int, k: int) -> float:
     s = (i + j + k) // 2
     sign = -1.0 if s % 2 else 1.0
     return (
@@ -186,7 +190,7 @@ def theta(ctx: RootContext, i: int, j: int, k: int) -> float:
     )
 
 
-def _half_sums(tup: tuple[int, int, int, int, int, int]) -> tuple[list[int], list[int]]:
+def _half_sums(tup: tuple[int, ...]) -> tuple[list[int], list[int]]:
     T = [sum(tup[s] for s in face) // 2 for face in _FACES]
     Q = [sum(tup[s] for s in quad) // 2 for quad in _QUADS]
     return T, Q
@@ -215,6 +219,10 @@ def _racah_sum(fact: list[float], T: list[int], Q: list[int]) -> float:
 def tet_symbol(ctx: RootContext, *tup: int) -> float:
     """Tetrahedral net evaluation of an admissible tuple (real)."""
     _validate_tuple(ctx, tup)
+    return _tet_symbol(ctx, tup)
+
+
+def _tet_symbol(ctx: RootContext, tup: tuple[int, ...]) -> float:
     T, Q = _half_sums(tup)
     if max(T) > min(Q):
         return 0.0

@@ -16,6 +16,12 @@ square of the usual vertex normalization while keeping every term real.
 Colorings are enumerated by backtracking over edge classes in index order,
 pruning as soon as any face class has all three edges colored but fails
 admissibility; enumeration order is lexicographic in the color vector.
+
+The face classes and their edge-class triples come from the triangulation,
+which computes them once (see ``triangulation``); the admissibility rule is
+``rootdata``'s.  Every coloring the enumeration yields is admissible on every
+face, hence on every face of every tetrahedron, so the weights go through the
+unvalidated kernels of ``tet_symbol`` and ``theta``.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ import math
 from typing import Iterator
 
 from .errors import DomainError, _in_float_range
-from .rootdata import RootContext, tet_symbol, theta
+from .rootdata import RootContext, _admissible, _tet_symbol, _theta
 from .rt import InvariantValue
-from .triangulation import EDGE_SLOTS, Triangulation, _FACE_VERTICES
+from .triangulation import Triangulation
 
 __all__ = [
     "face_class_triples",
@@ -37,16 +43,7 @@ __all__ = [
 
 def face_class_triples(tri: Triangulation) -> list[tuple[int, int, int]]:
     """Edge-class index triple of each face class (interior pairs counted once)."""
-    triples: list[tuple[int, int, int]] = []
-    for (t, f), glue in sorted(tri.gluings.items()):
-        if glue is not None:
-            t2, f2, _ = glue
-            if (t2, f2, t, f) > (t, f, t2, f2):
-                continue  # the partner occurrence already contributed
-        a, b, c = _FACE_VERTICES[f]
-        by_pair = dict(zip(EDGE_SLOTS, tri.tet_edge_classes(t)))
-        triples.append((by_pair[(a, b)], by_pair[(a, c)], by_pair[(b, c)]))
-    return triples
+    return list(tri._face_classes)
 
 
 def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iterator[tuple[int, ...]]:
@@ -54,18 +51,13 @@ def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iter
     if not tri.is_closed:
         raise DomainError("state sums are defined for closed triangulations")
     n_edges = tri.edge_count
-    faces = face_class_triples(tri)
     # faces become checkable once their highest-indexed edge class is colored
     checkable: list[list[tuple[int, int, int]]] = [[] for _ in range(n_edges)]
-    for triple in faces:
+    for triple in tri._face_classes:
         checkable[max(triple)].append(triple)
 
-    bound = 2 * (ctx.r - 2)
     colors = ctx.colors
     assignment = [0] * n_edges
-
-    def admissible(x: int, y: int, z: int) -> bool:
-        return x <= y + z and y <= x + z and z <= x + y and x + y + z <= bound
 
     def extend(pos: int) -> Iterator[tuple[int, ...]]:
         if pos == n_edges:
@@ -74,7 +66,7 @@ def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iter
         for color in colors:
             assignment[pos] = color
             if all(
-                admissible(assignment[i], assignment[j], assignment[k])
+                _admissible(ctx, assignment[i], assignment[j], assignment[k])
                 for i, j, k in checkable[pos]
             ):
                 yield from extend(pos + 1)
@@ -86,7 +78,7 @@ def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iter
 def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
     """Evaluate the state sum of a closed triangulation at level r."""
     ctx = RootContext(r)
-    faces = face_class_triples(tri)
+    faces = tri._face_classes
     tet_slots = [tri.tet_edge_classes(t) for t in range(tri.tet_count)]
     bracket = ctx._bracket
 
@@ -97,9 +89,9 @@ def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
             factor = bracket[color + 1]
             weight *= -factor if color % 2 else factor
         for slots in tet_slots:
-            weight *= tet_symbol(ctx, *(coloring[s] for s in slots))
+            weight *= _tet_symbol(ctx, tuple(coloring[s] for s in slots))
         for i, j, k in faces:
-            weight /= theta(ctx, coloring[i], coloring[j], coloring[k])
+            weight /= _theta(ctx, coloring[i], coloring[j], coloring[k])
         terms.append(weight)
 
     scale = ctx.eta ** (2 * tri.vertex_count)

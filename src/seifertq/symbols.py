@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SeifertSymbol:
     """An unnormalized Seifert symbol.
@@ -80,11 +84,13 @@ class SeifertSymbol:
     def __post_init__(self) -> None:
         if self.epsilon not in ("o", "n"):
             raise DomainError(f"epsilon must be 'o' or 'n', got {self.epsilon!r}")
-        if not isinstance(self.genus, int) or self.genus <= 0:
+        if not _is_int(self.genus) or self.genus <= 0:
             raise DomainError(f"genus must be a positive integer, got {self.genus!r}")
-        fibers = tuple((int(a), int(b)) for a, b in self.fibers)
+        fibers = tuple((a, b) for a, b in self.fibers)
         object.__setattr__(self, "fibers", fibers)
         for a, b in fibers:
+            if not (_is_int(a) and _is_int(b)):
+                raise DomainError(f"fiber entries must be integers, got ({a!r}, {b!r})")
             if a < 0:
                 raise DomainError(f"fiber multiplicity must be >= 0, got ({a}, {b})")
             if math.gcd(a, b) != 1:
@@ -207,10 +213,6 @@ def symbol_to_dict(symbol: SeifertSymbol) -> dict[str, Any]:
         "fibers": [[a, b] for a, b in symbol.fibers],
         "boundary": symbol.boundary,
     }
-
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def symbol_from_dict(data: Any) -> SeifertSymbol:

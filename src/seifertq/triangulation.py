@@ -15,6 +15,11 @@ glued to itself.
 
 Edges and vertices of the glued complex are the orbits of per-tetrahedron
 edges and vertices under the face identifications, computed by union-find.
+The face classes are the boundary faces and the glued pairs, each pair
+represented by its later (tet, face) occurrence, listed in (tet, face) order.
+``Triangulation`` computes all three once, in its constructor, and is the one
+home of the face-class rule: each face class carries the edge classes of its
+edges (a,b) (a,c) (b,c), a < b < c, which is the triple the state sum reads.
 Within a tetrahedron the six edges are indexed in the slot order
 
     (0,1) (0,2) (1,2) (2,3) (1,3) (0,3)
@@ -26,6 +31,7 @@ face triples do.
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
 from .errors import TriangulationError
@@ -40,8 +46,9 @@ __all__ = [
 
 EDGE_SLOTS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
 
-_FACE_VERTICES: tuple[tuple[int, int, int], ...] = tuple(
-    tuple(v for v in range(4) if v != f) for f in range(4)
+# the edges of the face opposite vertex f, as vertex pairs (a, b), (a, c), (b, c)
+_FACE_EDGES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple(combinations([v for v in range(4) if v != f], 2)) for f in range(4)
 )
 
 
@@ -84,11 +91,26 @@ class Triangulation:
                     raise TriangulationError(f"missing gluing entry for tet {t} face {f}")
         self.gluings = dict(gluings)
         self._validate()
-        self._edge_index: dict[tuple[int, tuple[int, int]], int] | None = None
-        self._edge_count = 0
-        self._vertex_count = 0
-        self._face_count = 0
-        self._build_classes()
+
+        edges, vertices = _UnionFind(), _UnionFind()
+        for (t, f), glue in self.gluings.items():
+            if glue is None:
+                continue
+            t2, _, perm = glue
+            for v in range(4):
+                if v != f:
+                    vertices.union((t, v), (t2, perm[v]))
+            for a, b in _FACE_EDGES[f]:
+                edges.union((t, (a, b)), (t2, tuple(sorted((perm[a], perm[b])))))
+        self._edge_index = edges.classes((t, e) for t in range(self.tet_count) for e in EDGE_SLOTS)
+        self.edge_count = len(set(self._edge_index.values()))
+        self.vertex_count = len({vertices.find((t, v)) for t in range(self.tet_count) for v in range(4)})
+        # a glued pair is represented by its later (tet, face) occurrence
+        self._face_classes = tuple(
+            tuple(self._edge_index[(t, pair)] for pair in _FACE_EDGES[f])
+            for (t, f), glue in sorted(self.gluings.items())
+            if glue is None or glue[:2] < (t, f)
+        )
 
     # -- validation ---------------------------------------------------------
 
@@ -118,38 +140,6 @@ class Triangulation:
                     f"gluing of tet {t} face {f} is not involutive with tet {t2} face {f2}"
                 )
 
-    # -- derived cell classes -----------------------------------------------
-
-    def _build_classes(self) -> None:
-        edges = _UnionFind()
-        vertices = _UnionFind()
-        edge_items = [(t, e) for t in range(self.tet_count) for e in EDGE_SLOTS]
-        vertex_items = [(t, v) for t in range(self.tet_count) for v in range(4)]
-        for item in edge_items:
-            edges.find(item)
-        for item in vertex_items:
-            vertices.find(item)
-
-        faces = 0
-        for (t, f), glue in self.gluings.items():
-            if glue is None:
-                faces += 1  # boundary face, its own class
-                continue
-            t2, f2, perm = glue
-            if (t2, f2, t, f) > (t, f, t2, f2):
-                faces += 1  # count each interior pair once
-            for v in _FACE_VERTICES[f]:
-                vertices.union((t, v), (t2, perm[v]))
-            for u, v in ((0, 1), (0, 2), (1, 2)):
-                a, b = _FACE_VERTICES[f][u], _FACE_VERTICES[f][v]
-                image = tuple(sorted((perm[a], perm[b])))
-                edges.union((t, (a, b)), (t2, image))
-
-        self._edge_index = edges.classes(edge_items)
-        self._edge_count = len(set(self._edge_index.values()))
-        self._vertex_count = len(set(vertices.classes(vertex_items).values()))
-        self._face_count = faces
-
     # -- queries --------------------------------------------------------------
 
     @property
@@ -157,24 +147,15 @@ class Triangulation:
         return all(glue is not None for glue in self.gluings.values())
 
     @property
-    def vertex_count(self) -> int:
-        return self._vertex_count
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    @property
     def face_count(self) -> int:
-        return self._face_count
+        return len(self._face_classes)
 
     @property
     def euler_characteristic(self) -> int:
-        return self._vertex_count - self._edge_count + self._face_count - self.tet_count
+        return self.vertex_count - self.edge_count + self.face_count - self.tet_count
 
     def tet_edge_classes(self, t: int) -> tuple[int, ...]:
         """Edge-class indices of tetrahedron t in slot order."""
-        assert self._edge_index is not None
         return tuple(self._edge_index[(t, e)] for e in EDGE_SLOTS)
 
 

@@ -216,3 +216,25 @@ def test_six_j_rejects_inadmissible():
         six_j(ctx, 0, 0, 2, 0, 0, 0)
     with pytest.raises(DomainError):
         six_j(ctx, 2, 2, 2, 2, 2)  # wrong arity
+
+
+@pytest.mark.parametrize(
+    "tup",
+    [
+        (0, 0, 2, 0, 0, 0),  # face (0, 0, 2) breaks the triangle inequality
+        (1, 1, 0, 0, 1, 1),  # odd colors
+        (6, 6, 0, 0, 6, 6),  # 6 is not in I_7 = {0, 2, 4}
+        (2, 2, 2, 2, 2),  # wrong arity
+    ],
+)
+def test_tet_symbol_rejects_invalid_tuples(tup):
+    with pytest.raises(DomainError):
+        tet_symbol(RootContext(7), *tup)
+
+
+def test_theta_rejects_inadmissible():
+    ctx = RootContext(7)
+    with pytest.raises(DomainError):
+        theta(ctx, 0, 0, 2)
+    with pytest.raises(DomainError):
+        theta(ctx, 4, 4, 4)  # above the ceiling 2 (r - 2) = 10

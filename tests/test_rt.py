@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seifertq.congruence
 from seifertq import (
     DomainError,
     SeifertSymbol,
@@ -311,6 +312,20 @@ def test_simplified_preconditions():
         z_double_simplified(HAND_SYMBOL, 5)  # 5 is not a multiple of A = 3
     with pytest.raises(DomainError):
         z_double_simplified(HAND_SYMBOL, 6)  # even
+
+
+@pytest.mark.parametrize("evaluate", [z_double_simplified, lower_bound])
+def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
+    original = seifertq.congruence._fiber_constraints
+    calls = []
+
+    def counting(fibers):
+        calls.append(fibers)
+        return original(fibers)
+
+    monkeypatch.setattr(seifertq.congruence, "_fiber_constraints", counting)
+    evaluate(ANCHOR_SYMBOL, 15)
+    assert len(calls) == 1
 
 
 def test_import_and_evaluation_leave_numpy_unloaded():

@@ -65,6 +65,26 @@ def test_sphere_statesum_is_eta_squared():
         assert got.term_count == len(list(enumerate_admissible_colorings(tri, RootContext(r))))
 
 
+# the 3-sphere from one tetrahedron: faces 0, 1 folded onto each other, and 2, 3
+ONE_TET_SPHERE = "tet 0: 0:1:1023 0:0:1023 0:3:0132 0:2:0132\n"
+
+
+def test_one_tetrahedron_sphere_cells():
+    tri = parse_triangulation(ONE_TET_SPHERE)
+    assert tri.is_closed
+    assert (tri.tet_count, tri.vertex_count, tri.edge_count, tri.face_count) == (1, 2, 3, 2)
+    assert tri.euler_characteristic == 0
+    assert tri.tet_edge_classes(0) == (0, 1, 1, 2, 1, 1)
+    assert face_class_triples(tri) == [(1, 1, 2), (0, 1, 1)]
+
+
+@pytest.mark.parametrize("r", range(3, 15, 2))
+def test_statesum_does_not_depend_on_the_triangulation(r):
+    one = tv_statesum(parse_triangulation(ONE_TET_SPHERE), r)
+    two = tv_statesum(s3_two_tetrahedra(), r)
+    assert one.value == pytest.approx(two.value, rel=1e-12)
+
+
 def test_statesum_requires_closed():
     ball = parse_triangulation("tet 0: - - - -\n")
     with pytest.raises(DomainError):

@@ -41,6 +41,10 @@ def test_basic_construction():
         dict(epsilon="n", genus=1, fibers=((4, 2),)),  # not coprime
         dict(epsilon="o", genus=1, fibers=((-3, 1),)),  # negative multiplicity
         dict(epsilon="o", genus=1, fibers=((0, 2),)),  # (0, b) needs b = +-1
+        dict(epsilon="o", genus=1, fibers=((3.9, 1),)),  # not truncated to (3, 1)
+        dict(epsilon="o", genus=1, fibers=(("5", 2),)),  # not parsed to (5, 2)
+        dict(epsilon="o", genus=1, fibers=((3, True),)),  # a bool is not an integer here
+        dict(epsilon="o", genus=True),
     ],
 )
 def test_invalid_symbols_rejected(kwargs):
