@@ -114,19 +114,20 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     return total
 
 
+def _multiplicity(a: int, b: int) -> int:
+    if a < 1:
+        raise DomainError(f"fiber ({a}, {b}) has multiplicity < 1")
+    return a
+
+
 def _fiber_constraints(fibers: Sequence[Fiber]) -> list[tuple[int, int]]:
     """(modulus, b*) per fiber; validates multiplicities and coprimality."""
-    out = []
-    for a, b in fibers:
-        if a < 1:
-            raise DomainError(f"fiber ({a}, {b}) has multiplicity < 1")
-        out.append((a, mod_inverse(b % a, a)))
-    return out
+    return [(_multiplicity(a, b), mod_inverse(b % a, a)) for a, b in fibers]
 
 
 def system_modulus(fibers: Sequence[Fiber]) -> int:
-    """A = lcm of the fiber multiplicities (1 for an empty list)."""
-    return math.lcm(*(a for a, _ in _fiber_constraints(fibers)))
+    """A = lcm of the fiber multiplicities (1 for an empty list); each must be >= 1."""
+    return math.lcm(*(_multiplicity(a, b) for a, b in fibers))
 
 
 def _crt_fold(constraints: Sequence[Fiber], signs: Sequence[Sequence[int]]) -> tuple[list, int]:

@@ -174,10 +174,6 @@ def _delta(ctx: RootContext, i: int, j: int, k: int) -> complex:
 def theta(ctx: RootContext, i: int, j: int, k: int) -> float:
     """Theta graph weight of an admissible triple (real)."""
     _require_admissible(ctx, i, j, k)
-    return _theta(ctx, i, j, k)
-
-
-def _theta(ctx: RootContext, i: int, j: int, k: int) -> float:
     s = (i + j + k) // 2
     sign = -1.0 if s % 2 else 1.0
     return (
@@ -190,7 +186,7 @@ def _theta(ctx: RootContext, i: int, j: int, k: int) -> float:
     )
 
 
-def _half_sums(tup: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def _half_sums(tup: tuple[int, int, int, int, int, int]) -> tuple[list[int], list[int]]:
     T = [sum(tup[s] for s in face) // 2 for face in _FACES]
     Q = [sum(tup[s] for s in quad) // 2 for quad in _QUADS]
     return T, Q
@@ -219,10 +215,6 @@ def _racah_sum(fact: list[float], T: list[int], Q: list[int]) -> float:
 def tet_symbol(ctx: RootContext, *tup: int) -> float:
     """Tetrahedral net evaluation of an admissible tuple (real)."""
     _validate_tuple(ctx, tup)
-    return _tet_symbol(ctx, tup)
-
-
-def _tet_symbol(ctx: RootContext, tup: tuple[int, ...]) -> float:
     T, Q = _half_sums(tup)
     if max(T) > min(Q):
         return 0.0

@@ -64,7 +64,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .congruence import CongruenceCertificate, _fiber_constraints, dedekind_sum, enumerate_solutions
+from .congruence import CongruenceCertificate, _fiber_constraints, dedekind_sum, enumerate_solutions, system_modulus
 from .errors import DomainError, _in_float_range
 from .rootdata import _require_level
 from .symbols import SeifertSymbol, euler_number
@@ -188,7 +188,7 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCe
             "the simplified form and the lower bound need at least one fiber and "
             "every multiplicity >= 2; normalize the symbol to absorb unit fibers"
         )
-    A = math.lcm(*(a for a, _ in symbol.fibers))  # SeifertSymbol keeps every pair coprime
+    A = system_modulus(symbol.fibers)
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
     return A, r // A, enumerate_solutions(symbol.fibers)

@@ -19,9 +19,10 @@ admissibility; enumeration order is lexicographic in the color vector.
 
 The face classes and their edge-class triples come from the triangulation,
 which computes them once (see ``triangulation``); the admissibility rule is
-``rootdata``'s.  Every coloring the enumeration yields is admissible on every
-face, hence on every face of every tetrahedron, so the weights go through the
-unvalidated kernels of ``tet_symbol`` and ``theta``.
+``rootdata``'s.  The weights are taken through the public ``tet_symbol`` and
+``theta``, so each call re-checks a triple the enumeration has already
+proved admissible.  The check stays while ``perfbench``'s tracer measures
+state-sum work through exactly those public calls.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from typing import Iterator
 
 from .errors import DomainError, _in_float_range
-from .rootdata import RootContext, _admissible, _tet_symbol, _theta
+from .rootdata import RootContext, _admissible, tet_symbol, theta
 from .rt import InvariantValue
 from .triangulation import Triangulation
 
@@ -43,7 +44,7 @@ __all__ = [
 
 def face_class_triples(tri: Triangulation) -> list[tuple[int, int, int]]:
     """Edge-class index triple of each face class (interior pairs counted once)."""
-    return list(tri._face_classes)
+    return list(tri.face_classes)
 
 
 def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iterator[tuple[int, ...]]:
@@ -53,7 +54,7 @@ def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iter
     n_edges = tri.edge_count
     # faces become checkable once their highest-indexed edge class is colored
     checkable: list[list[tuple[int, int, int]]] = [[] for _ in range(n_edges)]
-    for triple in tri._face_classes:
+    for triple in tri.face_classes:
         checkable[max(triple)].append(triple)
 
     colors = ctx.colors
@@ -78,7 +79,7 @@ def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iter
 def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
     """Evaluate the state sum of a closed triangulation at level r."""
     ctx = RootContext(r)
-    faces = tri._face_classes
+    faces = tri.face_classes
     tet_slots = [tri.tet_edge_classes(t) for t in range(tri.tet_count)]
     bracket = ctx._bracket
 
@@ -89,9 +90,9 @@ def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
             factor = bracket[color + 1]
             weight *= -factor if color % 2 else factor
         for slots in tet_slots:
-            weight *= _tet_symbol(ctx, tuple(coloring[s] for s in slots))
+            weight *= tet_symbol(ctx, *(coloring[s] for s in slots))
         for i, j, k in faces:
-            weight /= _theta(ctx, coloring[i], coloring[j], coloring[k])
+            weight /= theta(ctx, coloring[i], coloring[j], coloring[k])
         terms.append(weight)
 
     scale = ctx.eta ** (2 * tri.vertex_count)

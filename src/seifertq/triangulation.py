@@ -18,8 +18,9 @@ edges and vertices under the face identifications, computed by union-find.
 The face classes are the boundary faces and the glued pairs, each pair
 represented by its later (tet, face) occurrence, listed in (tet, face) order.
 ``Triangulation`` computes all three once, in its constructor, and is the one
-home of the face-class rule: each face class carries the edge classes of its
-edges (a,b) (a,c) (b,c), a < b < c, which is the triple the state sum reads.
+home of the face-class rule: its ``face_classes`` hold, per face class, the
+edge classes of the edges (a,b) (a,c) (b,c), a < b < c, which is the triple
+the state sum reads.
 Within a tetrahedron the six edges are indexed in the slot order
 
     (0,1) (0,2) (1,2) (2,3) (1,3) (0,3)
@@ -106,10 +107,10 @@ class Triangulation:
         self.edge_count = len(set(self._edge_index.values()))
         self.vertex_count = len({vertices.find((t, v)) for t in range(self.tet_count) for v in range(4)})
         # a glued pair is represented by its later (tet, face) occurrence
-        self._face_classes = tuple(
+        self.face_classes = tuple(
             tuple(self._edge_index[(t, pair)] for pair in _FACE_EDGES[f])
             for (t, f), glue in sorted(self.gluings.items())
-            if glue is None or glue[:2] < (t, f)
+            if glue is None or (glue[0], glue[1]) < (t, f)
         )
 
     # -- validation ---------------------------------------------------------
@@ -148,7 +149,7 @@ class Triangulation:
 
     @property
     def face_count(self) -> int:
-        return len(self._face_classes)
+        return len(self.face_classes)
 
     @property
     def euler_characteristic(self) -> int:

@@ -205,6 +205,8 @@ def test_system_modulus():
     assert system_modulus(((3, 1), (5, 1))) == 15
     assert system_modulus(((4, 1), (6, 1))) == 12
     assert system_modulus(()) == 1
+    with pytest.raises(DomainError):
+        system_modulus(((3, 1), (0, 1)))
 
 
 # -- enumerate_solutions -----------------------------------------------------------

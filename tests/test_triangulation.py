@@ -8,6 +8,7 @@ import pytest
 
 from seifertq import (
     EDGE_SLOTS,
+    Triangulation,
     TriangulationError,
     load_triangulation,
     parse_triangulation,
@@ -25,6 +26,14 @@ def test_two_tet_sphere_counts():
     assert tri.face_count == 4
     assert tri.euler_characteristic == 0
     assert tri.is_closed
+
+
+def test_gluings_given_as_lists():
+    tuples = s3_two_tetrahedra()
+    lists = Triangulation({(t, f): [1 - t, f, [0, 1, 2, 3]] for t in range(2) for f in range(4)})
+    assert lists.face_classes == tuples.face_classes
+    assert [lists.tet_edge_classes(t) for t in range(2)] == [tuples.tet_edge_classes(t) for t in range(2)]
+    assert (lists.vertex_count, lists.edge_count, lists.face_count) == (4, 6, 4)
 
 
 def test_packaged_sphere_file_matches_builder():
