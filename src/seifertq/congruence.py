@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .errors import DomainError, NonInvertibleError, NumericInconsistencyError
+from .symbols import _is_int
 
 __all__ = [
     "mod_inverse",
@@ -84,12 +85,14 @@ def _cot_pi(m: int, a: int) -> float:
 def dedekind_sum(b: int, a: int) -> Fraction:
     """Dedekind sum s(b, a) as an exact rational.
 
-    Requires a >= 1 and gcd(a, b) = 1.  The value is antisymmetric in b
-    (s(-b, a) = -s(b, a)), periodic in b modulo a, and satisfies the
-    reciprocity law
+    Requires integers (not bools) a >= 1 and b with gcd(a, b) = 1.  The
+    value is antisymmetric in b (s(-b, a) = -s(b, a)), periodic in b modulo
+    a, and satisfies the reciprocity law
 
         s(b, a) + s(a, b) = -1/4 + (a/b + b/a + 1/(ab)) / 12.
     """
+    if not (_is_int(b) and _is_int(a)):
+        raise DomainError(f"dedekind_sum needs integer arguments, got ({b!r}, {a!r})")
     if a < 1:
         raise DomainError(f"dedekind_sum needs a >= 1, got a={a}")
     if math.gcd(a, b) != 1:

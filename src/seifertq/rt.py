@@ -43,6 +43,16 @@ in integer arithmetic and exact at quarter turns, so the only rounding
 before exp is the one of num / den; every sum is accumulated with
 exactly-rounded summation.
 
+The prefactors are computed from integers too.  Since s(-b, a) = -s(b, a)
+and s depends on b modulo a only, a fiber (a, b) cancels against a mirrored
+fiber (a, -b mod a) in P1, and only the fibers left unpaired need their
+Dedekind sums.  On an orientation double e = 0, so P3 = 1, and every fiber
+has its mirror, so P1 = 1 with no Dedekind sum computed.  With the rational
+x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), P1 is
+exp(i pi num / den) with num / den = x / 2r, P3 is
+exp(i pi 3 (1 - a_eps) sign(e) / 4), and the powers in P2 have the
+half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
+
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
 collapse: m-blocks vanish unless (gamma mod A, mu) solves the congruence
@@ -61,13 +71,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .congruence import CongruenceCertificate, _fiber_constraints, dedekind_sum, enumerate_solutions, system_modulus
 from .errors import DomainError, _in_float_range
 from .rootdata import _require_level
-from .symbols import SeifertSymbol, euler_number
+from .symbols import SeifertSymbol, _is_int, euler_number
 
 __all__ = [
     "InvariantValue",
@@ -124,6 +136,8 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     With d = gcd(r, a), H(t) = d sum_{m in Z_{a/d}} exp(-2 pi i ((t/d) m + (r b^*/d) m^2) / (a/d))
     when d | t and 0 otherwise; the t that occur are (gamma +- b^*) mod a, 0 < gamma < r.
     """
+    if r % a == 0:
+        return {0: complex(a)}  # d = a: one term, and only t = 0 occurs
     d = math.gcd(r, a)
     reduced, quad = a // d, r * bstar % a // d
     if r > a:
@@ -231,6 +245,18 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
 
 
+def _unpaired(fibers: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
+    """The fibers (a, b mod a) left once each is cancelled against one (a, -b mod a)."""
+    left: Counter = Counter()
+    for a, b in fibers:
+        mirror = (a, -b % a)
+        if left[mirror]:
+            left[mirror] -= 1
+        else:
+            left[a, b % a] += 1
+    return left.elements()
+
+
 @_in_float_range
 def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT invariant of a closed symbol at level r."""
@@ -242,18 +268,17 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     euler = euler_number(symbol)
     sign_e = (euler > 0) - (euler < 0)
 
-    dedekind_total = sum((dedekind_sum(b, a) for a, b in fibers), Fraction(0))
-    p1 = unit_phase(
-        (Fraction(3 * (a_eps - 1) * sign_e) - euler - 12 * dedekind_total) / (2 * r)
-    )
-    half_exp = Fraction(a_eps * g, 2)
+    # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
+    dedekind_total = sum(dedekind_sum(b, a) for a, b in _unpaired(fibers))
+    x = 3 * (a_eps - 1) * sign_e - euler - 12 * dedekind_total
+    p1 = _phase(x.numerator, 2 * r * x.denominator)
     p2 = (
         (-1.0) ** (a_eps * g)
         * 1j**n
-        * float(r) ** float(half_exp - 1)
-        / (2.0 ** float(n + half_exp - 1) * math.sqrt(math.prod(a for a, _ in fibers)))
+        * float(r) ** ((a_eps * g - 2) / 2)
+        / (2.0 ** ((2 * n + a_eps * g - 2) / 2) * math.sqrt(math.prod(a for a, _ in fibers)))
     )
-    p3 = unit_phase(Fraction(3 * (1 - a_eps) * sign_e, 4))
+    p3 = _phase(3 * (1 - a_eps) * sign_e, 4)
 
     prefactor = p1 * p2 * p3
     return InvariantValue(
@@ -270,7 +295,7 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
 def verlinde_dimension(genus: int, r: int) -> float:
     """dim of the level-r space on a genus-g surface: (r/2)^{g-1} sum sin^{2-2g}."""
     _require_level(r)
-    if not isinstance(genus, int) or genus < 1:
+    if not _is_int(genus) or genus < 1:
         raise DomainError(f"genus must be a positive integer, got {genus!r}")
     power = 2 - 2 * genus
     return (r / 2.0) ** (genus - 1) * math.fsum(

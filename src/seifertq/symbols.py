@@ -86,7 +86,10 @@ class SeifertSymbol:
             raise DomainError(f"epsilon must be 'o' or 'n', got {self.epsilon!r}")
         if not _is_int(self.genus) or self.genus <= 0:
             raise DomainError(f"genus must be a positive integer, got {self.genus!r}")
-        fibers = tuple((a, b) for a, b in self.fibers)
+        try:
+            fibers = tuple((a, b) for a, b in self.fibers)
+        except (TypeError, ValueError):
+            raise DomainError(f"fibers must be (a, b) pairs, got {self.fibers!r}") from None
         object.__setattr__(self, "fibers", fibers)
         for a, b in fibers:
             if not (_is_int(a) and _is_int(b)):
@@ -124,9 +127,10 @@ def _require_multiplicities(symbol: SeifertSymbol) -> None:
 
 
 def euler_number(symbol: SeifertSymbol) -> Fraction:
-    """Rational Euler number e(M) = -sum(b_j / a_j), exact."""
+    """Rational Euler number e(M) = -sum(b_j / a_j), exact, as one fraction over lcm(a_j)."""
     _require_multiplicities(symbol)
-    return -sum((Fraction(b, a) for a, b in symbol.fibers), start=Fraction(0))
+    common = math.lcm(*(a for a, _ in symbol.fibers))
+    return Fraction(-sum(b * (common // a) for a, b in symbol.fibers), common)
 
 
 def orbifold_euler_characteristic(symbol: SeifertSymbol) -> Fraction:

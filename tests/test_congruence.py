@@ -166,6 +166,9 @@ def test_dedekind_rejects_bad_input():
         dedekind_sum(2, 4)
     with pytest.raises(DomainError):
         dedekind_sum(1, 0)
+    for b, a in [(1.0, 3), (1, 3.0), (True, 3), (1, True), ("1", 3)]:  # not an int, or a bool
+        with pytest.raises(DomainError):
+            dedekind_sum(b, a)
 
 
 # -- solve_system ----------------------------------------------------------------

@@ -20,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seifertq.congruence
+import seifertq.rt
 from seifertq import (
     DomainError,
     SeifertSymbol,
+    dedekind_sum,
     double,
     euler_number,
     lower_bound,
@@ -197,6 +199,59 @@ def test_rt_invariant_under_normalize(symbol, r):
     assert abs(value.value - rt_closed(normalize(symbol), r).value) <= 1e-14 * value.term_magnitude_sum
 
 
+def test_rt_closed_cancels_mirrored_dedekind_sums(monkeypatch):
+    calls = []
+
+    def counting(b, a):
+        calls.append((b, a))
+        return dedekind_sum(b, a)
+
+    monkeypatch.setattr(seifertq.rt, "dedekind_sum", counting)
+    rt_closed(double(SeifertSymbol("o", 1, ((3, 1), (5, 2)), boundary=True)), 15)
+    assert calls == []
+    rt_closed(SeifertSymbol("o", 1, ((3, 1), (5, 2), (3, -1))), 7)
+    assert calls == [(2, 5)]
+
+
+def oracle_prefactor(symbol, r):
+    """P1 P2 P3 from every fiber's Dedekind sum, with Fraction exponents and unit_phase."""
+    fibers = symbol.fibers
+    n, a_eps, g = len(fibers), symbol.a_eps, symbol.genus
+    euler = -sum((Fraction(b, a) for a, b in fibers), Fraction(0))
+    sign_e = (euler > 0) - (euler < 0)
+    dedekind_total = sum((dedekind_sum(b, a) for a, b in fibers), Fraction(0))
+    p1 = unit_phase((Fraction(3 * (a_eps - 1) * sign_e) - euler - 12 * dedekind_total) / (2 * r))
+    half_exp = Fraction(a_eps * g, 2)
+    p2 = (
+        (-1.0) ** (a_eps * g)
+        * 1j**n
+        * float(r) ** float(half_exp - 1)
+        / (2.0 ** float(n + half_exp - 1) * math.sqrt(math.prod(a for a, _ in fibers)))
+    )
+    p3 = unit_phase(Fraction(3 * (1 - a_eps) * sign_e, 4))
+    return p1 * p2 * p3
+
+
+@st.composite
+def mirrored_closed_symbols(draw):
+    """Closed symbols with up to 4 fibers, b in [-2a, 3a), some fibers mirrored, unit fibers included."""
+    coprime_b = lambda a: st.sampled_from([b for b in range(-2 * a, 3 * a) if math.gcd(a, b) == 1])  # noqa: E731
+    fibers = [(a, draw(coprime_b(a))) for a in draw(st.lists(st.integers(1, 9), max_size=4))]
+    mirrors = [(a, -b + a * draw(st.integers(-2, 2))) for a, b in fibers if draw(st.booleans())]
+    fibers = draw(st.permutations((fibers + mirrors)[:4]))
+    return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 3)), tuple(fibers))
+
+
+@settings(deadline=None)
+@given(symbol=mirrored_closed_symbols(), r=st.sampled_from(range(3, 16, 2)))
+def test_rt_closed_prefactor_matches_oracle_exactly(symbol, r):
+    prefactor = oracle_prefactor(symbol, r)
+    z = z_direct(symbol, r)
+    got = rt_closed(symbol, r)
+    assert got.value == prefactor * z.value
+    assert got.term_magnitude_sum == abs(prefactor) * z.term_magnitude_sum
+
+
 # -- verlinde ----------------------------------------------------------------------
 
 
@@ -225,6 +280,8 @@ def test_verlinde_values():
         verlinde_dimension(0, 7)
     with pytest.raises(DomainError):
         verlinde_dimension(2, 8)
+    with pytest.raises(DomainError):
+        verlinde_dimension(True, 5)  # a bool is not a genus
 
 
 # -- simplified double form ----------------------------------------------------------

@@ -45,6 +45,9 @@ def test_basic_construction():
         dict(epsilon="o", genus=1, fibers=(("5", 2),)),  # not parsed to (5, 2)
         dict(epsilon="o", genus=1, fibers=((3, True),)),  # a bool is not an integer here
         dict(epsilon="o", genus=True),
+        dict(epsilon="o", genus=1, fibers=((3,),)),  # an entry that is not a pair
+        dict(epsilon="o", genus=1, fibers=((3, 1, 2),)),
+        dict(epsilon="o", genus=1, fibers=3),  # not iterable
     ],
 )
 def test_invalid_symbols_rejected(kwargs):
@@ -56,6 +59,17 @@ def test_euler_number_exact():
     s = SeifertSymbol("o", 1, ((3, 1), (5, -2), (7, 3)))
     assert euler_number(s) == Fraction(-1, 3) + Fraction(2, 5) - Fraction(3, 7)
     assert euler_number(SeifertSymbol("o", 1)) == 0
+
+
+@given(
+    fibers=st.lists(
+        st.tuples(st.integers(1, 60), st.integers(-200, 200)).filter(lambda f: math.gcd(*f) == 1),
+        max_size=6,
+    )
+)
+def test_euler_number_equals_termwise_sum(fibers):
+    expected = -sum((Fraction(b, a) for a, b in fibers), Fraction(0))
+    assert euler_number(SeifertSymbol("o", 1, tuple(fibers))) == expected
 
 
 def test_euler_number_rejects_zero_multiplicity():
