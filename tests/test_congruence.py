@@ -18,6 +18,7 @@ from seifertq import (
     CongruenceCertificate,
     DomainError,
     NonInvertibleError,
+    NumericInconsistencyError,
     classify_system,
     dedekind_sum,
     enumerate_solutions,
@@ -25,7 +26,8 @@ from seifertq import (
     solve_system,
     system_modulus,
 )
-from seifertq.congruence import certificate_to_dict
+from seifertq import congruence
+from seifertq.congruence import _cotangent_sum, certificate_to_dict
 
 
 # -- oracles -------------------------------------------------------------------
@@ -65,6 +67,35 @@ def cotangent_dedekind(b, a):
         (1.0 / math.tan(math.pi * l / a)) * (1.0 / math.tan(math.pi * l * b / a))
         for l in range(1, a)
     ) / (4.0 * a)
+
+
+def full_cotangent_table(a):
+    """cot(pi m / a) for m = 0..a-1 (0 at m = 0), each angle reduced into (0, pi/2]."""
+
+    def cot_pi(m):
+        if 2 * m == a:
+            return 0.0
+        if 2 * m > a:
+            return -cot_pi(a - m)
+        return 1.0 / math.tan(math.pi * m / a)
+
+    return [0.0] + [cot_pi(m) for m in range(1, a)]
+
+
+def full_cotangent_sum(table, b, a):
+    """The cross-check's floats summed over every l = 1..a-1, without the mirror."""
+    terms = [table[l] * table[l * b % a] for l in range(1, a)]
+    return math.fsum(terms) / (4.0 * a), math.fsum(map(abs, terms)) / (4.0 * a)
+
+
+def coprime_pairs(max_a):
+    """Every coprime (b, a) with 1 <= a <= max_a and -2a <= b <= 2a."""
+    return [
+        (b, a)
+        for a in range(1, max_a + 1)
+        for b in range(-2 * a, 2 * a + 1)
+        if math.gcd(a, b) == 1
+    ]
 
 
 # -- mod_inverse ----------------------------------------------------------------
@@ -159,6 +190,27 @@ def test_dedekind_reciprocity_large(a, b):
     assume(math.gcd(a, b) == 1)
     lhs = dedekind_sum(b, a) + dedekind_sum(a, b)
     assert lhs == Fraction(-1, 4) + (Fraction(a, b) + Fraction(b, a) + Fraction(1, a * b)) / 12
+
+
+def test_dedekind_mirror_edges_match_sawtooth_oracle():
+    # a = 1 and 2, the midpoint slot of even a, and b < 0 and b > a
+    for b, a in coprime_pairs(40):
+        assert dedekind_sum(b, a) == sawtooth_dedekind(b, a), (b, a)
+
+
+def test_half_cotangent_sum_equals_full_sum():
+    # twice a correctly rounded half sum is the correctly rounded full sum, bit for bit
+    tables = {a: full_cotangent_table(a) for a in range(1, 151)}
+    for b, a in coprime_pairs(150):
+        assert _cotangent_sum(b, a) == full_cotangent_sum(tables[a], b, a), (b, a)
+
+
+def test_dedekind_cross_check_is_live(monkeypatch):
+    tan = math.tan
+    monkeypatch.setattr(congruence.math, "tan", lambda x: tan(x) * (1 + 1e-9))
+    for b, a in [(1, 3), (5, 12)]:
+        with pytest.raises(NumericInconsistencyError):
+            dedekind_sum(b, a)
 
 
 def test_dedekind_rejects_bad_input():
