@@ -13,44 +13,21 @@ adds a timing_ms field.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-import time
-from pathlib import Path
 
-from .congruence import certificate_to_dict, classify_system, dedekind_sum, system_modulus
-from .errors import MalformedInputError, SeifertQError
-from .growth import lower_bound, ltv_scan, verify_lemma
-from .rootdata import RootContext, six_j
-from .rt import rt_closed
-from .statesum import tv_statesum
-from .symbols import (
-    SeifertSymbol,
-    _require_multiplicities,
-    double,
-    euler_number,
-    normalize,
-    orbifold_euler_characteristic,
-    symbol_from_json,
-    symbol_to_dict,
-)
-from .triangulation import parse_triangulation
-from .tv import tv_bounded, tv_closed
+from .errors import MalformedInputError, SeifertQError, _read_text
+
+# Each handler imports the modules it calls, so that a process runs only the
+# imports of its own subcommand.
 
 SCHEMA_VERSION = 1
 
 
-def _read_input(path: str, kind: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInputError(f"cannot read {kind} file {path!r}: {exc}") from exc
+def _load_symbol(source: str):
+    from .symbols import symbol_from_json
 
-
-def _load_symbol(source: str) -> SeifertSymbol:
-    return symbol_from_json(_read_input(source[1:], "symbol") if source.startswith("@") else source)
+    return symbol_from_json(_read_text(source[1:], "symbol") if source.startswith("@") else source)
 
 
 def _complex_dict(value: complex) -> dict:
@@ -71,6 +48,9 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def _cmd_rt(args: argparse.Namespace) -> dict:
+    from .rt import rt_closed
+    from .symbols import symbol_to_dict
+
     symbol = _load_symbol(args.symbol)
     inv = rt_closed(symbol, args.r)
     return {
@@ -88,7 +68,10 @@ def _cmd_tv(args: argparse.Namespace) -> dict:
     if (args.symbol is None) == (args.tri is None):
         raise MalformedInputError("tv needs exactly one of --symbol or --tri")
     if args.tri is not None:
-        tri = parse_triangulation(_read_input(args.tri, "triangulation"))
+        from .statesum import tv_statesum
+        from .triangulation import parse_triangulation
+
+        tri = parse_triangulation(_read_text(args.tri, "triangulation"))
         inv = tv_statesum(tri, args.r)
         return {
             "triangulation": args.tri,
@@ -104,6 +87,9 @@ def _cmd_tv(args: argparse.Namespace) -> dict:
             "euler_characteristic": tri.euler_characteristic,
             "warnings": list(inv.warnings),
         }
+    from .symbols import symbol_to_dict
+    from .tv import tv_bounded, tv_closed
+
     symbol = _load_symbol(args.symbol)
     inv = tv_bounded(symbol, args.r) if symbol.has_boundary else tv_closed(symbol, args.r)
     return {
@@ -118,6 +104,8 @@ def _cmd_tv(args: argparse.Namespace) -> dict:
 
 
 def _cmd_double(args: argparse.Namespace) -> dict:
+    from .symbols import double, euler_number, orbifold_euler_characteristic, symbol_to_dict
+
     symbol = _load_symbol(args.symbol)
     doubled = double(symbol)
     return {
@@ -129,6 +117,8 @@ def _cmd_double(args: argparse.Namespace) -> dict:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> dict:
+    from .symbols import euler_number, normalize, orbifold_euler_characteristic, symbol_to_dict
+
     symbol = _load_symbol(args.symbol)
     normalized = normalize(symbol)
     return {
@@ -140,6 +130,9 @@ def _cmd_normalize(args: argparse.Namespace) -> dict:
 
 
 def _cmd_certify(args: argparse.Namespace) -> dict:
+    from .congruence import certificate_to_dict, classify_system
+    from .symbols import _require_multiplicities, symbol_to_dict
+
     symbol = _load_symbol(args.symbol)
     _require_multiplicities(symbol)
     classification = classify_system(symbol.fibers)
@@ -153,26 +146,35 @@ def _cmd_certify(args: argparse.Namespace) -> dict:
 
 
 def _cmd_dedekind(args: argparse.Namespace) -> dict:
+    from .congruence import dedekind_sum
+
     value = dedekind_sum(args.b, args.a)
     return {"b": args.b, "a": args.a, "exact": str(value), "float": float(value)}
 
 
 def _cmd_sixj(args: argparse.Namespace) -> dict:
+    from .rootdata import RootContext, six_j
+
     ctx = RootContext(args.r)
     value = six_j(ctx, *args.colors)
     return {"r": args.r, "colors": list(args.colors), "value": _complex_dict(value)}
 
 
-def _resolve_levels(args: argparse.Namespace, symbol: SeifertSymbol) -> list[int]:
+def _resolve_levels(args: argparse.Namespace, symbol) -> list[int]:
     if (args.r is None) == (args.k is None):
         raise MalformedInputError("give exactly one of --r or --k")
     if args.r is not None:
         return _parse_levels(args.r)
+    from .congruence import system_modulus
+
     modulus = system_modulus(symbol.fibers)
     return [k * modulus for k in _parse_levels(args.k)]
 
 
 def _cmd_scan(args: argparse.Namespace) -> dict:
+    from .growth import ltv_scan
+    from .symbols import symbol_to_dict
+
     symbol = _load_symbol(args.symbol)
     levels = _resolve_levels(args, symbol)
     samples, slope = ltv_scan(symbol, levels)
@@ -184,6 +186,9 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bound(args: argparse.Namespace) -> dict:
+    from .growth import lower_bound, verify_lemma
+    from .symbols import symbol_to_dict
+
     symbol = _load_symbol(args.symbol)
     levels = _resolve_levels(args, symbol)
     if len(levels) != 1:
@@ -226,6 +231,9 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
         return
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     samples = payload.get("samples")
@@ -309,9 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from time import perf_counter
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.perf_counter()
+    started = perf_counter()
     try:
         payload = args.func(args)
     except SeifertQError as exc:
@@ -320,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     result = {"schema": SCHEMA_VERSION, "command": args.command}
     result.update(payload)
     if not args.deterministic:
-        result["timing_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
+        result["timing_ms"] = round(1000.0 * (perf_counter() - started), 3)
     _emit(result, args.format)
     return 0
 

@@ -46,8 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from .errors import DomainError, NonInvertibleError, NumericInconsistencyError
-from .symbols import _is_int
+from .errors import DomainError, NonInvertibleError, NumericInconsistencyError, _is_int
 
 __all__ = [
     "mod_inverse",
@@ -65,7 +64,12 @@ Fiber = tuple[int, int]
 
 
 def mod_inverse(b: int, a: int) -> int:
-    """Inverse of b modulo a, reduced into {0, ..., a-1}; 0 when a = 1."""
+    """Inverse of b modulo a, reduced into {0, ..., a-1}; 0 when a = 1.
+
+    Requires integers (not bools) b and a >= 1.
+    """
+    if not (_is_int(b) and _is_int(a)):
+        raise DomainError(f"mod_inverse needs integer arguments, got ({b!r}, {a!r})")
     if a < 1:
         raise DomainError(f"modulus must be >= 1, got {a}")
     try:

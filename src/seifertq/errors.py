@@ -2,13 +2,15 @@
 
 Each class carries the process exit code the command line tool maps it to,
 so the CLI never needs a type table of its own.  ``_in_float_range`` turns
-a float overflow in any evaluator into the same ``DomainError``.
+a float overflow in any evaluator into the same ``DomainError``.  The
+helpers shared by every layer live here too, because every module imports
+this one: ``_is_int`` (the integer test of all arguments) and
+``_read_text`` (the one file reader of the CLI and of triangulation files).
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 
 
@@ -63,9 +65,22 @@ def _in_float_range(evaluate):
             result = evaluate(*args, **kwargs)
         except OverflowError:
             result = float("inf")
-        fields = vars(result).values() if dataclasses.is_dataclass(result) else (result,)
+        fields = vars(result).values() if hasattr(result, "__dataclass_fields__") else (result,)
         if not all(cmath.isfinite(x) for x in fields if isinstance(x, (float, complex))):
             raise DomainError(f"{evaluate.__name__}: the value exceeds the float range")
         return result
 
     return checked
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_text(path, kind: str) -> str:
+    """The UTF-8 text of a file; MalformedInputError (exit 3) when it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"cannot read {kind} file {path!r}: {exc}") from exc

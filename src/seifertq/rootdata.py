@@ -53,7 +53,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _is_int
 
 __all__ = [
     "RootContext",
@@ -90,7 +90,7 @@ def _two_sin_two_pi(n: int, r: int) -> float:
 
 
 def _require_level(r: int) -> None:
-    if not isinstance(r, int) or r < 3 or r % 2 == 0:
+    if not _is_int(r) or r < 3 or r % 2 == 0:
         raise DomainError(f"level r must be an odd integer >= 3, got {r!r}")
 
 
@@ -119,21 +119,21 @@ class RootContext:
         return f"RootContext(r={self.r})"
 
     def _check_color(self, c: int) -> None:
-        if c % 2 != 0 or not 0 <= c <= self.r - 3:
-            raise DomainError(f"color {c} is not in I_{self.r} = {{0, 2, ..., {self.r - 3}}}")
+        if not _is_int(c) or c % 2 != 0 or not 0 <= c <= self.r - 3:
+            raise DomainError(f"color {c!r} is not in I_{self.r} = {{0, 2, ..., {self.r - 3}}}")
 
 
 def quantum_integer(ctx: RootContext, n: int) -> float:
-    """{n} = 2 sin(2 pi n / r) for 0 <= n <= r."""
-    if not 0 <= n <= ctx.r:
-        raise DomainError(f"quantum_integer defined for 0 <= n <= r = {ctx.r}, got {n}")
+    """{n} = 2 sin(2 pi n / r) for integers 0 <= n <= r."""
+    if not _is_int(n) or not 0 <= n <= ctx.r:
+        raise DomainError(f"quantum_integer defined for integers 0 <= n <= r = {ctx.r}, got {n!r}")
     return ctx._qint[n]
 
 
 def quantum_factorial(ctx: RootContext, n: int) -> float:
-    """{n}! = {1}{2}...{n}, with {0}! = 1, for 0 <= n <= r."""
-    if not 0 <= n <= ctx.r:
-        raise DomainError(f"quantum_factorial defined for 0 <= n <= r = {ctx.r}, got {n}")
+    """{n}! = {1}{2}...{n}, with {0}! = 1, for integers 0 <= n <= r."""
+    if not _is_int(n) or not 0 <= n <= ctx.r:
+        raise DomainError(f"quantum_factorial defined for integers 0 <= n <= r = {ctx.r}, got {n!r}")
     return ctx._qfact[n]
 
 

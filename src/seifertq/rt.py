@@ -77,9 +77,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .congruence import CongruenceCertificate, _fiber_constraints, dedekind_sum, enumerate_solutions, system_modulus
-from .errors import DomainError, _in_float_range
+from .errors import DomainError, _in_float_range, _is_int
 from .rootdata import _require_level
-from .symbols import SeifertSymbol, _is_int, euler_number
+from .symbols import SeifertSymbol, euler_number
 
 __all__ = [
     "InvariantValue",

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .errors import DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError, _is_int
 
 __all__ = [
     "SeifertSymbol",
@@ -56,10 +56,6 @@ __all__ = [
     "symbol_to_json",
     "symbol_from_json",
 ]
-
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

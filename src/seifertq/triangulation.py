@@ -32,10 +32,10 @@ face triples do.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
-from pathlib import Path
 
-from .errors import TriangulationError
+from .errors import TriangulationError, _read_text
 
 __all__ = [
     "Triangulation",
@@ -51,6 +51,11 @@ EDGE_SLOTS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3
 _FACE_EDGES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     tuple(combinations([v for v in range(4) if v != f], 2)) for f in range(4)
 )
+
+
+def _is_index(text: str) -> bool:
+    """A tetrahedron or face index: ASCII digits only (str.isdigit also takes '²')."""
+    return text.isascii() and text.isdigit()
 
 
 class _UnionFind:
@@ -169,7 +174,7 @@ def parse_triangulation(text: str) -> Triangulation:
             continue
         head, _, rest = line.partition(":")
         parts = head.split()
-        if len(parts) != 2 or parts[0] != "tet" or not parts[1].isdigit() or not _:
+        if len(parts) != 2 or parts[0] != "tet" or not _is_index(parts[1]) or not _:
             raise TriangulationError(f"line {lineno}: expected 'tet <id>: <g> <g> <g> <g>'")
         t = int(parts[1])
         entries = rest.split()
@@ -185,7 +190,7 @@ def parse_triangulation(text: str) -> Triangulation:
             if len(fields) != 3:
                 raise TriangulationError(f"line {lineno}: malformed gluing {entry!r}")
             tet_s, face_s, perm_s = fields
-            if not tet_s.isdigit() or not face_s.isdigit():
+            if not (_is_index(tet_s) and _is_index(face_s)):
                 raise TriangulationError(f"line {lineno}: malformed gluing {entry!r}")
             if len(perm_s) != 4 or any(c not in "0123" for c in perm_s):
                 raise TriangulationError(f"line {lineno}: malformed permutation {perm_s!r}")
@@ -195,8 +200,9 @@ def parse_triangulation(text: str) -> Triangulation:
     return Triangulation(gluings)
 
 
-def load_triangulation(path: str | Path) -> Triangulation:
-    return parse_triangulation(Path(path).read_text())
+def load_triangulation(path: str | os.PathLike[str]) -> Triangulation:
+    """Read and parse a UTF-8 triangulation file; an unreadable file is a MalformedInputError."""
+    return parse_triangulation(_read_text(path, "triangulation"))
 
 
 def s3_two_tetrahedra() -> Triangulation:

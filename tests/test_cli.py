@@ -224,6 +224,22 @@ def test_malformed_triangulation_exits_3(capsys, tmp_path):
     assert "expected 4" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("tet \u00b2: - - - -\n", "expected 'tet <id>", id="id"),
+        pytest.param("tet 0: 1:\u00b2:0123 - - -\n", "malformed gluing", id="gluing"),
+    ],
+)
+def test_non_ascii_digit_in_triangulation_exits_3(capsys, tmp_path, text, message):
+    # str.isdigit accepts the superscript two, int() does not
+    path = tmp_path / "bad.tri"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "tv", "--tri", str(path), "--r", "5")
+    assert code == 3
+    assert message in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["rt", "--symbol", TORUS])  # missing required --r

@@ -121,6 +121,12 @@ def test_mod_inverse_rejects_non_coprime():
         mod_inverse(1, 0)
 
 
+@pytest.mark.parametrize("b, a", [(1.0, 3), (1, 3.0), (True, 3), (1, True), ("1", 3)])  # not an int, or a bool
+def test_mod_inverse_rejects_non_integers(b, a):
+    with pytest.raises(DomainError):
+        mod_inverse(b, a)
+
+
 # -- dedekind sums ---------------------------------------------------------------
 
 

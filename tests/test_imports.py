@@ -1,0 +1,84 @@
+"""What each entry point imports: the package loads lazily, each subcommand only its own modules.
+
+Every check runs in a fresh interpreter, because this test process has
+already imported the whole package.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+
+def _run(code: str):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _loaded_after(statements: str):
+    """Sorted names of the modules loaded after the statements, and whether dataclasses is among them."""
+    return _run(
+        "import json, sys\n"
+        f"{statements}\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('seifertq')),"
+        " 'dataclasses' in sys.modules]))\n"
+    )
+
+
+def test_import_loads_no_submodule():
+    modules, _ = _loaded_after("import seifertq")
+    assert set(modules) <= {"seifertq", "seifertq.errors"}
+
+
+def test_dedekind_subcommand_loads_only_its_modules():
+    modules, _ = _loaded_after("from seifertq.cli import main\nmain(['dedekind', '1', '3'])")
+    unused = {"growth", "rt", "tv", "statesum", "triangulation", "rootdata", "symbols"}
+    assert not {f"seifertq.{name}" for name in unused} & set(modules)
+    assert "seifertq.congruence" in modules
+
+
+def test_sixj_subcommand_skips_dataclasses():
+    modules, dataclasses_loaded = _loaded_after(
+        "from seifertq.cli import main\nmain(['sixj', '--r', '7', '2', '2', '2', '2', '2', '2'])"
+    )
+    assert "seifertq.rootdata" in modules
+    assert not dataclasses_loaded
+
+
+def test_first_touch_binds_every_export_to_its_module_object():
+    mismatched = _run(
+        "import json, importlib, seifertq\n"
+        "seifertq.dedekind_sum\n"
+        "bad = [name for module, names in seifertq._EXPORTS.items() for name in names\n"
+        "       if vars(seifertq).get(name) is not getattr(importlib.import_module('seifertq.' + module), name)]\n"
+        "print(json.dumps(bad))\n"
+    )
+    assert mismatched == []
+
+
+def test_star_import_binds_every_export():
+    missing = _run(
+        "import json\n"
+        "namespace = {}\n"
+        "exec('from seifertq import *', namespace)\n"
+        "import seifertq\n"
+        "print(json.dumps([n for n in seifertq.__all__ if namespace.get(n) is not getattr(seifertq, n)]))\n"
+    )
+    assert missing == []
+
+
+def test_submodules_and_unknown_names():
+    code = (
+        "import json, seifertq\n"
+        "rt = seifertq.rt\n"  # a submodule is reachable as an attribute, as under an eager import
+        "try:\n"
+        "    seifertq.no_such_name\n"
+        "    raised = False\n"
+        "except AttributeError:\n"
+        "    raised = True\n"
+        "print(json.dumps([rt.__name__, raised]))\n"
+    )
+    assert _run(code) == ["seifertq.rt", True]

@@ -225,6 +225,8 @@ def test_six_j_rejects_inadmissible():
         (1, 1, 0, 0, 1, 1),  # odd colors
         (6, 6, 0, 0, 6, 6),  # 6 is not in I_7 = {0, 2, 4}
         (2, 2, 2, 2, 2),  # wrong arity
+        (2.0, 2, 2, 2, 2, 2),  # a float color
+        (False, 0, 0, 0, 0, 0),  # a bool color
     ],
 )
 def test_tet_symbol_rejects_invalid_tuples(tup):
@@ -238,3 +240,21 @@ def test_theta_rejects_inadmissible():
         theta(ctx, 0, 0, 2)
     with pytest.raises(DomainError):
         theta(ctx, 4, 4, 4)  # above the ceiling 2 (r - 2) = 10
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        pytest.param(lambda ctx: six_j(ctx, 2.0, 2, 2, 2, 2, 2), id="six_j-float"),
+        pytest.param(lambda ctx: six_j(ctx, 2, 2, 2, 2, 2, "2"), id="six_j-str"),
+        pytest.param(lambda ctx: theta(ctx, 2, 2, 2.0), id="theta-float"),
+        pytest.param(lambda ctx: delta(ctx, 0, 2, 2.0), id="delta-float"),
+        pytest.param(lambda ctx: is_admissible(ctx, 0, 0, False), id="is_admissible-bool"),
+        pytest.param(lambda ctx: quantum_integer(ctx, 2.5), id="quantum_integer-float"),
+        pytest.param(lambda ctx: quantum_integer(ctx, True), id="quantum_integer-bool"),
+        pytest.param(lambda ctx: quantum_factorial(ctx, 2.0), id="quantum_factorial-float"),
+    ],
+)
+def test_non_integer_arguments_rejected(evaluate):
+    with pytest.raises(DomainError):
+        evaluate(RootContext(7))

@@ -8,6 +8,7 @@ import pytest
 
 from seifertq import (
     EDGE_SLOTS,
+    MalformedInputError,
     Triangulation,
     TriangulationError,
     load_triangulation,
@@ -71,7 +72,10 @@ def test_comments_and_blank_lines_ignored():
         "",  # nothing
         "tet 0: - - -\n",  # wrong arity
         "tet zero: - - - -\n",  # bad id
+        "tet \u00b2: - - - -\n",  # a digit to str.isdigit, not to int
         "tet 0: x - - -\n",  # malformed entry
+        "tet 0: 1:\u00b2:0123 - - -\n",  # non-ASCII digit as the partner face
+        "tet 0: \u00b2:0:0123 - - -\n",  # non-ASCII digit as the partner tetrahedron
         "tet 0: 1:0:01 - - -\n",  # short permutation word
         "tet 0: 1:0:0124 - - -\n",  # bad character
         "tet 0: 1:0:0113 - - -\n",  # not a permutation
@@ -84,6 +88,21 @@ def test_comments_and_blank_lines_ignored():
 def test_malformed_text_rejected(text):
     with pytest.raises(TriangulationError):
         parse_triangulation(text)
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("missing.tri", None),
+        ("latin1.tri", "# M\u00f6bius\n".encode("latin-1") + BALL.encode()),  # not UTF-8
+    ],
+)
+def test_unreadable_file_is_malformed_input(tmp_path, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(MalformedInputError, match="cannot read triangulation file"):
+        load_triangulation(path)
 
 
 def test_permutation_must_carry_face_index():
