@@ -131,10 +131,9 @@ def _cmd_normalize(args: argparse.Namespace) -> dict:
 
 def _cmd_certify(args: argparse.Namespace) -> dict:
     from .congruence import certificate_to_dict, classify_system
-    from .symbols import _require_multiplicities, symbol_to_dict
+    from .symbols import symbol_to_dict
 
     symbol = _load_symbol(args.symbol)
-    _require_multiplicities(symbol)
     classification = classify_system(symbol.fibers)
     certificate = classification.certificate
     return {

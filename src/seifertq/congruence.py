@@ -123,7 +123,7 @@ def dedekind_sum(b: int, a: int) -> Fraction:
 
 def _multiplicity(a: int, b: int) -> int:
     if a < 1:
-        raise DomainError(f"fiber ({a}, {b}) has multiplicity < 1")
+        raise DomainError(f"fiber ({a}, {b}) has multiplicity < 1; normalize the symbol first")
     return a
 
 

@@ -13,6 +13,16 @@ from __future__ import annotations
 import cmath
 import functools
 
+__all__ = [
+    "SeifertQError",
+    "MalformedInputError",
+    "TriangulationError",
+    "DomainError",
+    "NonInvertibleError",
+    "DegenerateSystemError",
+    "NumericInconsistencyError",
+]
+
 
 class SeifertQError(Exception):
     """Base class for all errors raised by this package."""

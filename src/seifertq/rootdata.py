@@ -31,8 +31,8 @@ The six-j symbol of a tuple (i, j, k, l, m, n), with faces
                      * sum_z (-1)^z {z+1}! / (prod_b {z-T_b}! prod_c {Q_c-z}!),
 
 lambda = i+j+k+l+m+n, T_b the half-sums of the faces, Q_c the half-sums of
-the three quadrilaterals, z running from max T to min Q (an empty range
-gives 0).  The all-zero tuple evaluates to 1.
+the three quadrilaterals, z running from max T to min Q.  The all-zero tuple
+evaluates to 1.
 
 State sums use the square-consistent regrouping of the same data: the theta
 graph theta(i,j,k) = (-1)^S [S+1]! [P1]! [P2]! [P3]! / ([i]![j]![k]!) and
@@ -44,7 +44,8 @@ the tetrahedral net
 Because the twelve numbers Q_c - T_b are exactly the twelve face parameters
 P, one has  |i j k; l m n|^2 = Tet^2 / prod_faces theta  identically, which
 is why a closed state sum may divide by theta once per face instead of
-carrying square roots.
+carrying square roots.  For the same reason no admissible tuple has an empty
+z-range: every Q_c - T_b is a face parameter, hence >= 0.
 """
 
 from __future__ import annotations
@@ -216,8 +217,6 @@ def tet_symbol(ctx: RootContext, *tup: int) -> float:
     """Tetrahedral net evaluation of an admissible tuple (real)."""
     _validate_tuple(ctx, tup)
     T, Q = _half_sums(tup)
-    if max(T) > min(Q):
-        return 0.0
     interaction = math.prod(ctx._bfact[q - t] for q in Q for t in T)
     edges = math.prod(ctx._bfact[c] for c in tup)
     return interaction / edges * _racah_sum(ctx._bfact, T, Q)
@@ -231,8 +230,6 @@ def six_j(ctx: RootContext, *tup: int) -> complex:
     """
     _validate_tuple(ctx, tup)
     T, Q = _half_sums(tup)
-    if max(T) > min(Q):
-        return 0.0j
     racah = _racah_sum(ctx._qfact, T, Q)
     lam = sum(tup)
     prefactor = (1j ** lam) / ctx.zeta

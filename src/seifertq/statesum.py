@@ -36,15 +36,9 @@ from .rt import InvariantValue
 from .triangulation import Triangulation
 
 __all__ = [
-    "face_class_triples",
     "enumerate_admissible_colorings",
     "tv_statesum",
 ]
-
-
-def face_class_triples(tri: Triangulation) -> list[tuple[int, int, int]]:
-    """Edge-class index triple of each face class (interior pairs counted once)."""
-    return list(tri.face_classes)
 
 
 def enumerate_admissible_colorings(tri: Triangulation, ctx: RootContext) -> Iterator[tuple[int, ...]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from importlib.resources import files
 
@@ -94,6 +96,14 @@ def test_certify(capsys):
     assert [entry[0] for entry in cert["set_B"]] == [1, 4, 11, 14]
 
 
+def test_certify_zero_multiplicity_exits_4(capsys):
+    symbol = '{"epsilon": "o", "genus": 1, "fibers": [[0, 1], [3, 1]], "boundary": true}'
+    code, out, err = run(capsys, "certify", "--symbol", symbol)
+    assert code == 4
+    assert out == ""
+    assert "normalize the symbol first" in err
+
+
 def test_certify_no_solution(capsys):
     symbol = '{"epsilon": "o", "genus": 1, "fibers": [[5, 1], [5, 3]], "boundary": true}'
     code, out, _ = run(capsys, "certify", "--symbol", symbol)
@@ -142,6 +152,21 @@ def test_scan_needs_levels(capsys):
     code, _, err = run(capsys, "scan", "--symbol", ANCHOR)
     assert code == 3
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["scan", "--k", "1,x"], "bad level list", id="not-an-integer"),
+        pytest.param(["scan", "--r", " , "], "no levels", id="no-levels"),
+        pytest.param(["bound", "--k", "1,3"], "bound takes a single level", id="bound-two-levels"),
+    ],
+)
+def test_bad_levels_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--symbol", ANCHOR)
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_bound_with_verification(capsys):
@@ -266,3 +291,14 @@ def test_csv_key_value_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("exact,") for line in lines)
+
+
+def test_csv_writes_nested_values_as_json(capsys):
+    symbol = '{"epsilon": "o", "genus": 1, "fibers": [[3, 1], [5, 2]], "boundary": false}'
+    _, out, _ = run(capsys, "rt", "--symbol", symbol, "--r", "7")
+    payload = json.loads(out)
+    code, out, _ = run(capsys, "rt", "--symbol", symbol, "--r", "7", "--format", "csv")
+    assert code == 0
+    rows = dict(csv.reader(io.StringIO(out)))
+    assert json.loads(rows["symbol"]) == payload["symbol"]
+    assert json.loads(rows["value"]) == payload["value"]

@@ -6,8 +6,10 @@ already imported the whole package.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -48,15 +50,37 @@ def test_sixj_subcommand_skips_dataclasses():
     assert not dataclasses_loaded
 
 
+def test_private_names_do_not_load_the_package():
+    modules, _ = _loaded_after("import seifertq\nassert not hasattr(seifertq, '__wrapped__')")
+    assert set(modules) <= {"seifertq", "seifertq.errors"}
+
+
 def test_first_touch_binds_every_export_to_its_module_object():
     mismatched = _run(
         "import json, importlib, seifertq\n"
         "seifertq.dedekind_sum\n"
-        "bad = [name for module, names in seifertq._EXPORTS.items() for name in names\n"
-        "       if vars(seifertq).get(name) is not getattr(importlib.import_module('seifertq.' + module), name)]\n"
+        "modules = [importlib.import_module('seifertq.' + module) for module in seifertq._SUBMODULES]\n"
+        "bad = [name for module in modules for name in module.__all__\n"
+        "       if vars(seifertq).get(name) is not getattr(module, name)]\n"
         "print(json.dumps(bad))\n"
     )
     assert mismatched == []
+
+
+def test_package_exports_the_union_of_disjoint_module_exports():
+    import seifertq
+
+    owner = {}
+    for info in pkgutil.iter_modules(seifertq.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"seifertq.{info.name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name}"
+            assert name not in owner, f"{name} is exported by {owner.get(name)} and {module.__name__}"
+            owner[name] = module.__name__
+    assert sorted(seifertq.__all__) == sorted([*owner, "__version__"])
+    assert seifertq.certificate_to_dict is seifertq.congruence.certificate_to_dict
 
 
 def test_star_import_binds_every_export():

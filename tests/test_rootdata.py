@@ -135,6 +135,15 @@ def test_admissible_tuple_counts():
     assert len(admissible_tuples(RootContext(7))) == 98
 
 
+@pytest.mark.parametrize("r", range(3, 12, 2))
+def test_admissible_tuples_have_a_nonempty_z_range(r):
+    # each Q_c - T_b is a face parameter, so no admissible tuple has an empty Racah sum
+    for i, j, k, l, m, n in admissible_tuples(RootContext(r)):
+        T = [(i + j + k) // 2, (i + m + n) // 2, (j + l + n) // 2, (k + l + m) // 2]
+        Q = [(i + j + l + m) // 2, (i + k + l + n) // 2, (j + k + m + n) // 2]
+        assert max(T) <= min(Q), (i, j, k, l, m, n)
+
+
 # -- nets -------------------------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ from seifertq import (
     DomainError,
     RootContext,
     enumerate_admissible_colorings,
-    face_class_triples,
     is_admissible,
     parse_triangulation,
     s3_two_tetrahedra,
@@ -21,7 +20,7 @@ from seifertq import (
 
 def brute_colorings(tri, ctx):
     """Filter the full color grid through every face constraint directly."""
-    faces = face_class_triples(tri)
+    faces = tri.face_classes
     out = []
     for coloring in product(ctx.colors, repeat=tri.edge_count):
         if all(is_admissible(ctx, coloring[i], coloring[j], coloring[k]) for i, j, k in faces):
@@ -31,7 +30,7 @@ def brute_colorings(tri, ctx):
 
 def test_face_classes_of_the_sphere():
     tri = s3_two_tetrahedra()
-    triples = face_class_triples(tri)
+    triples = tri.face_classes
     assert len(triples) == 4
     # faces of a tetrahedron: each of the 6 edges lies on exactly 2 faces
     flat = [c for triple in triples for c in triple]
@@ -75,7 +74,7 @@ def test_one_tetrahedron_sphere_cells():
     assert (tri.tet_count, tri.vertex_count, tri.edge_count, tri.face_count) == (1, 2, 3, 2)
     assert tri.euler_characteristic == 0
     assert tri.tet_edge_classes(0) == (0, 1, 1, 2, 1, 1)
-    assert face_class_triples(tri) == [(1, 1, 2), (0, 1, 1)]
+    assert tri.face_classes == ((1, 1, 2), (0, 1, 1))
 
 
 @pytest.mark.parametrize("r", range(3, 15, 2))
