@@ -18,6 +18,9 @@ a_j/g, which does not depend on the signs, so the fold inverts once per
 fiber, drops a prefix as soon as it is incompatible, and costs in proportion
 to the surviving partial solutions, at most 2^n.
 
+One rule, ``_fiber``, checks every fiber (integers a >= 1 and b with
+gcd(a, b) = 1) for SeifertSymbol, the functions below and dedekind_sum.
+
 The solution set is closed under the involution (gamma, mu) ->
 (A - gamma, -mu); fibers with a_j = 1 impose no constraint and contribute a
 free sign, doubling the solution count per unit fiber.
@@ -44,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import DomainError, NonInvertibleError, NumericInconsistencyError, _is_int
 
@@ -78,6 +81,23 @@ def mod_inverse(b: int, a: int) -> int:
         raise NonInvertibleError(f"{b} is not invertible modulo {a}") from exc
 
 
+def _fiber(a: int, b: int) -> None:
+    """The fiber rule: a and b are integers (not bools), a >= 1 and gcd(a, b) = 1."""
+    if not (_is_int(a) and _is_int(b) and a >= 1 and math.gcd(a, b) == 1):
+        raise DomainError(f"(a, b) = ({a!r}, {b!r}): need integers a >= 1 and b with gcd(a, b) = 1")
+
+
+def _fibers(fibers: Iterable[Fiber]) -> tuple[Fiber, ...]:
+    """The (a, b) pairs of fibers as a tuple, each checked by _fiber; DomainError otherwise."""
+    try:
+        pairs = tuple((a, b) for a, b in fibers)
+    except (TypeError, ValueError):
+        raise DomainError(f"fibers must be (a, b) pairs, got {fibers!r}") from None
+    for a, b in pairs:
+        _fiber(a, b)
+    return pairs
+
+
 def _cotangent_sum(b: int, a: int) -> tuple[float, float]:
     """Float s(b, a) and sum_l |term_l| / 4a, summed over l < a/2 and doubled."""
     half = [1.0 / math.tan(math.pi * m / a) for m in range(1, (a + 1) // 2)]
@@ -99,12 +119,7 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     Exact in O(log a) integer steps and one Fraction; the cotangent check sums
     l < a/2 by the l <-> a - l symmetry in O(a) time and memory (0.3 s at a = 10^6).
     """
-    if not (_is_int(b) and _is_int(a)):
-        raise DomainError(f"dedekind_sum needs integer arguments, got ({b!r}, {a!r})")
-    if a < 1:
-        raise DomainError(f"dedekind_sum needs a >= 1, got a={a}")
-    if math.gcd(a, b) != 1:
-        raise DomainError(f"dedekind_sum needs gcd(a, b) = 1, got ({b}, {a})")
+    _fiber(a, b)
     # the sum so far is num / den, den = 12 * prefix * p; a step adds sign (p^2+q^2+1-3pq) / (12pq)
     num, den, prefix, sign = 0, 12 * a, 1, 1
     p, q = a, b % a
@@ -121,20 +136,14 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     return total
 
 
-def _multiplicity(a: int, b: int) -> int:
-    if a < 1:
-        raise DomainError(f"fiber ({a}, {b}) has multiplicity < 1; normalize the symbol first")
-    return a
+def _fiber_constraints(fibers: Iterable[Fiber]) -> list[tuple[int, int]]:
+    """(modulus, b*) per fiber, after _fibers has checked them."""
+    return [(a, pow(b, -1, a)) for a, b in _fibers(fibers)]
 
 
-def _fiber_constraints(fibers: Sequence[Fiber]) -> list[tuple[int, int]]:
-    """(modulus, b*) per fiber; validates multiplicities and coprimality."""
-    return [(_multiplicity(a, b), mod_inverse(b % a, a)) for a, b in fibers]
-
-
-def system_modulus(fibers: Sequence[Fiber]) -> int:
-    """A = lcm of the fiber multiplicities (1 for an empty list); each must be >= 1."""
-    return math.lcm(*(_multiplicity(a, b) for a, b in fibers))
+def system_modulus(fibers: Iterable[Fiber]) -> int:
+    """A = lcm of the fiber multiplicities (1 for an empty list)."""
+    return math.lcm(*(a for a, _ in _fibers(fibers)))
 
 
 def _crt_fold(constraints: Sequence[Fiber], signs: Sequence[Sequence[int]]) -> tuple[list, int]:
@@ -207,7 +216,7 @@ def enumerate_solutions(fibers: Sequence[Fiber]) -> Optional[CongruenceCertifica
     and gamma = 0 as a placeholder.
     """
     constraints = _fiber_constraints(fibers)
-    n = len(fibers)
+    n = len(constraints)
     if all(a == 1 for a, _ in constraints):
         return CongruenceCertificate(gamma=0, mu=(1,) * n, modulus=1, set_b=(), degenerate=True)
     # gamma = 0 would need b_j* == 0 (mod a_j), that is a_j = 1, for every j

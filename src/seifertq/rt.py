@@ -157,7 +157,7 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     _require_level(r)
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
-    euler = euler_number(symbol)  # rejects multiplicity-0 fibers
+    euler = euler_number(symbol)
     exponent = symbol.fiber_count + symbol.a_eps * symbol.genus - 2
     odd_sign = symbol.a_eps * symbol.genus % 2
     fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in _fiber_constraints(symbol.fibers)]

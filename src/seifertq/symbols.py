@@ -12,11 +12,10 @@ ordinary, a_j >= 2 are exceptional).  A symbol may additionally be flagged as
 having boundary, in which case the base surface has one boundary circle and
 the manifold is a Seifert fibration over a surface with boundary.
 
-Unnormalized symbols are not unique.  Three moves preserve the fibration:
+Unnormalized symbols are not unique.  Two moves preserve the fibration:
 
   1. add or delete a fiber (1, 0);
-  2. replace a transient pair (0, +-1) by (0, -+1);
-  3. replace (a_j, b_j) by (a_j, b_j + k_j * a_j), where the integers k_j
+  2. replace (a_j, b_j) by (a_j, b_j + k_j * a_j), where the integers k_j
      must satisfy sum(k_j) = 0 when the symbol is closed (with boundary the
      shifts are unconstrained).
 
@@ -42,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Iterable
 
+from .congruence import _fibers
 from .errors import DomainError, MalformedInputError, _is_int
 
 __all__ = [
@@ -65,10 +65,7 @@ class SeifertSymbol:
     Attributes:
         epsilon: 'o' (orientable base) or 'n' (non-orientable base).
         genus: genus of the base surface, > 0.
-        fibers: tuple of (a, b) pairs, gcd(a, b) = 1, a >= 0.  Pairs with
-            a = 0 (necessarily (0, +-1)) are legal in a symbol but rejected
-            by every invariant computation; they exist so that normalization
-            moves can be expressed.
+        fibers: tuple of (a, b) integer pairs, a >= 1, gcd(a, b) = 1.
         boundary: True if the base surface has a boundary circle.
     """
 
@@ -82,18 +79,9 @@ class SeifertSymbol:
             raise DomainError(f"epsilon must be 'o' or 'n', got {self.epsilon!r}")
         if not _is_int(self.genus) or self.genus <= 0:
             raise DomainError(f"genus must be a positive integer, got {self.genus!r}")
-        try:
-            fibers = tuple((a, b) for a, b in self.fibers)
-        except (TypeError, ValueError):
-            raise DomainError(f"fibers must be (a, b) pairs, got {self.fibers!r}") from None
-        object.__setattr__(self, "fibers", fibers)
-        for a, b in fibers:
-            if not (_is_int(a) and _is_int(b)):
-                raise DomainError(f"fiber entries must be integers, got ({a!r}, {b!r})")
-            if a < 0:
-                raise DomainError(f"fiber multiplicity must be >= 0, got ({a}, {b})")
-            if math.gcd(a, b) != 1:
-                raise DomainError(f"fiber ({a}, {b}) is not a coprime pair")
+        if not isinstance(self.boundary, bool):
+            raise DomainError(f"boundary must be True or False, got {self.boundary!r}")
+        object.__setattr__(self, "fibers", _fibers(self.fibers))
 
     @property
     def fiber_count(self) -> int:
@@ -114,33 +102,21 @@ class SeifertSymbol:
         return f"({self.epsilon}, {self.genus}; [{fib}]{tail})"
 
 
-def _require_multiplicities(symbol: SeifertSymbol) -> None:
-    for a, b in symbol.fibers:
-        if a < 1:
-            raise DomainError(
-                f"fiber ({a}, {b}) has multiplicity 0; normalize the symbol first"
-            )
-
-
 def euler_number(symbol: SeifertSymbol) -> Fraction:
     """Rational Euler number e(M) = -sum(b_j / a_j), exact, as one fraction over lcm(a_j)."""
-    _require_multiplicities(symbol)
     common = math.lcm(*(a for a, _ in symbol.fibers))
     return Fraction(-sum(b * (common // a) for a, b in symbol.fibers), common)
 
 
 def orbifold_euler_characteristic(symbol: SeifertSymbol) -> Fraction:
-    """Orbifold Euler characteristic 2 - 2g - sum(1 - 1/a_j) of the base.
+    """Orbifold Euler characteristic chi(base) - sum(1 - 1/a_j) of the base.
 
-    The genus enters through 2 - 2g for both base types; the non-orientable
-    base uses the same convention as the orientable one in this library.
+    chi(base) = 2 - a_eps g - (1 if the base has a boundary circle), with
+    a_eps = 2 for an orientable base of genus g and 1 for a non-orientable
+    one with g cross-caps, the convention of P2 in rt.py.
     """
-    _require_multiplicities(symbol)
-    return (
-        2
-        - 2 * symbol.genus
-        - sum((1 - Fraction(1, a) for a, _ in symbol.fibers), start=Fraction(0))
-    )
+    base = 2 - symbol.a_eps * symbol.genus - symbol.boundary
+    return base - sum((1 - Fraction(1, a) for a, _ in symbol.fibers), start=Fraction(0))
 
 
 def double(symbol: SeifertSymbol) -> SeifertSymbol:
@@ -166,42 +142,24 @@ def reverse_orientation(symbol: SeifertSymbol) -> SeifertSymbol:
 
 
 def normalize(symbol: SeifertSymbol) -> SeifertSymbol:
-    """Canonical representative of a symbol under the three moves.
+    """Canonical representative of a symbol under the two moves.
 
-    Steps: (0, -1) pairs become (0, 1); input (1, 0) pairs are dropped; each
-    b_j is reduced into 0 <= b_j < a_j.  For closed symbols the reduction
-    shifts must cancel, so the residual total shift is carried on the last
-    fiber of multiplicity >= 2 (unit fibers always reduce to (1, 0) and are
-    dropped; only when no multiple fiber exists does the last unit fiber keep
-    the residual).  Idempotent, and equivalent symbols share one canonical
-    form.
+    Each b_j is reduced into 0 <= b_j < a_j and (1, 0) pairs are dropped.
+    For closed symbols the reduction shifts must cancel, so the residual
+    total shift is carried on the last fiber of multiplicity >= 2 (unit
+    fibers always reduce to (1, 0) and are dropped; with no multiple fiber
+    the unit fibers merge into one (1, sum b_j)).  Idempotent, and
+    equivalent symbols share one canonical form.
     """
-    fibers = [(a, 1) if a == 0 else (a, b) for a, b in symbol.fibers]
-    fibers = [(a, b) for a, b in fibers if (a, b) != (1, 0)]
-
+    fibers = symbol.fibers
     if symbol.has_boundary:
-        reduced = [(a, b % a) if a >= 1 else (a, b) for a, b in fibers]
+        carrier, shift = None, 0
     else:
-        carriers = [j for j, (a, _) in enumerate(fibers) if a >= 2]
-        if not carriers:
-            carriers = [j for j, (a, _) in enumerate(fibers) if a >= 1]
-        carrier = carriers[-1] if carriers else None
-        reduced = []
-        total_shift = 0
-        for j, (a, b) in enumerate(fibers):
-            if a == 0 or j == carrier:
-                reduced.append((a, b))
-                continue
-            bp = b % a
-            total_shift += (bp - b) // a
-            reduced.append((a, bp))
-        if carrier is not None:
-            a, b = reduced[carrier]
-            # the carrier absorbs k = -total_shift so the shifts sum to zero
-            reduced[carrier] = (a, b - total_shift * a)
-
-    reduced = [(a, b) for a, b in reduced if (a, b) != (1, 0)]
-    return replace(symbol, fibers=tuple(reduced))
+        carrier = max((j for j, (a, _) in enumerate(fibers) if a >= 2), default=0)
+        # the carrier takes the sum of the other shifts, so the shifts sum to zero
+        shift = sum(b // a for j, (a, b) in enumerate(fibers) if j != carrier)
+    reduced = [(a, b + shift * a if j == carrier else b % a) for j, (a, b) in enumerate(fibers)]
+    return replace(symbol, fibers=tuple((a, b) for a, b in reduced if (a, b) != (1, 0)))
 
 
 # -- serialization ------------------------------------------------------------

@@ -96,12 +96,25 @@ def test_certify(capsys):
     assert [entry[0] for entry in cert["set_B"]] == [1, 4, 11, 14]
 
 
-def test_certify_zero_multiplicity_exits_4(capsys):
-    symbol = '{"epsilon": "o", "genus": 1, "fibers": [[0, 1], [3, 1]], "boundary": true}'
-    code, out, err = run(capsys, "certify", "--symbol", symbol)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rt", "--r", "7"],
+        ["tv", "--r", "15"],
+        ["double"],
+        ["normalize"],
+        ["certify"],
+        ["scan", "--k", "1,3"],
+        ["bound", "--k", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("b", [1, -1])
+def test_zero_multiplicity_exits_4(capsys, argv, b):
+    symbol = f'{{"epsilon": "o", "genus": 1, "fibers": [[0, {b}], [3, 1]], "boundary": true}}'
+    code, out, _ = run(capsys, argv[0], "--symbol", symbol, *argv[1:])
     assert code == 4
     assert out == ""
-    assert "normalize the symbol first" in err
 
 
 def test_certify_no_solution(capsys):

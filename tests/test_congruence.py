@@ -270,6 +270,23 @@ def test_system_modulus():
         system_modulus(((3, 1), (0, 1)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify_system([("x", 1)]),
+        lambda: classify_system(None),
+        lambda: classify_system([(3,)]),
+        lambda: system_modulus([(2.5, 1)]),
+        lambda: enumerate_solutions([(True, 1), (3, 1)]),
+        lambda: solve_system([(3, 1.0)], (1,)),
+    ],
+    ids=["string-entry", "none", "not-a-pair", "float-multiplicity", "bool-multiplicity", "float-b"],
+)
+def test_malformed_fiber_lists_are_domain_errors(call):
+    with pytest.raises(DomainError, match=r"fibers must be \(a, b\) pairs|need integers a >= 1"):
+        call()
+
+
 # -- enumerate_solutions -----------------------------------------------------------
 
 

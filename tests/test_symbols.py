@@ -48,6 +48,7 @@ def test_basic_construction():
         dict(epsilon="o", genus=1, fibers=((3,),)),  # an entry that is not a pair
         dict(epsilon="o", genus=1, fibers=((3, 1, 2),)),
         dict(epsilon="o", genus=1, fibers=3),  # not iterable
+        dict(epsilon="o", genus=1, boundary="yes"),  # boundary must be a bool
     ],
 )
 def test_invalid_symbols_rejected(kwargs):
@@ -73,16 +74,20 @@ def test_euler_number_equals_termwise_sum(fibers):
 
 
 def test_euler_number_rejects_zero_multiplicity():
-    s = SeifertSymbol("o", 1, ((0, 1),))
+    # a fiber of multiplicity 0 never reaches euler_number: the symbol cannot be built
     with pytest.raises(DomainError):
-        euler_number(s)
+        euler_number(SeifertSymbol("o", 1, ((0, 1),)))
 
 
 def test_orbifold_euler_characteristic():
     s = SeifertSymbol("o", 1, ((2, 1), (3, 1)))
     assert orbifold_euler_characteristic(s) == Fraction(2 - 2) - Fraction(1, 2) - Fraction(2, 3)
+    # chi(base) = 2 - a_eps g - (1 if bounded): 2 - g for g cross-caps
     n = SeifertSymbol("n", 2, ((2, 1),))
-    assert orbifold_euler_characteristic(n) == 2 - 4 - Fraction(1, 2)
+    assert orbifold_euler_characteristic(n) == 2 - 2 - Fraction(1, 2)
+    assert orbifold_euler_characteristic(SeifertSymbol("o", 1, boundary=True)) == -1  # punctured torus
+    assert orbifold_euler_characteristic(SeifertSymbol("n", 1, boundary=True)) == 0  # Moebius band
+    assert orbifold_euler_characteristic(double(SeifertSymbol("n", 1, boundary=True))) == 0  # Klein bottle
 
 
 def test_double_mirrors_fibers_and_closes():
@@ -113,9 +118,12 @@ def test_normalize_drops_trivial_fibers():
     assert normalize(s).fibers == ((3, 1),)
 
 
-def test_normalize_flips_transient_pairs():
-    s = SeifertSymbol("o", 1, ((0, -1),))
-    assert normalize(s).fibers == ((0, 1),)
+@pytest.mark.parametrize("b", [1, -1])
+def test_transient_pairs_rejected(b):
+    with pytest.raises(DomainError):
+        SeifertSymbol("o", 1, ((0, b),))
+    with pytest.raises(DomainError):
+        symbol_from_json(f'{{"epsilon": "o", "genus": 1, "fibers": [[0, {b}], [3, 1]], "boundary": false}}')
 
 
 def test_normalize_bounded_reduces_each_fiber():
@@ -173,10 +181,10 @@ def test_normalize_idempotent_and_euler_preserving(fibers):
 
 @st.composite
 def symbols(draw):
-    """Closed or bounded symbols with up to 4 fibers, transient (0, +-1) pairs and unit fibers included."""
+    """Closed or bounded symbols with up to 4 fibers, unit fibers included."""
     fibers = [
         (a, draw(st.sampled_from([b for b in range(-2 * a - 1, 2 * a + 2) if math.gcd(a, b) == 1])))
-        for a in draw(st.lists(st.integers(0, 12), max_size=4))
+        for a in draw(st.lists(st.integers(1, 12), max_size=4))
     ]
     return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 3)), tuple(fibers), draw(st.booleans()))
 
