@@ -152,7 +152,7 @@ def _crt_fold(constraints: Sequence[Fiber], signs: Sequence[Sequence[int]]) -> t
     for (a, bstar), allowed in zip(constraints, signs):
         g = math.gcd(modulus, a)
         reduced = a // g
-        lift_inverse = mod_inverse(modulus // g % reduced, reduced)
+        lift_inverse = pow(modulus // g % reduced, -1, reduced)  # M/g and a/g are coprime
         merged = []
         for residue, prefix in partial:
             for m in allowed:

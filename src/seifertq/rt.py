@@ -33,11 +33,16 @@ quadratic term blind to m'', so the sum over m'' vanishes unless d | t, and
 
     H_j(t) = d sum_{m in Z_{a_j / d}} exp(-2 pi i ((t/d) m + (r b_j^*/d) m^2) / (a_j / d))
 
-when d | t.  A table therefore costs at most (a_j / d) min(a_j, r) terms, and
-Z costs O(r n + sum_j (a_j / d_j) min(a_j, r)).  When a_j | r, as for every
-fiber of a double at r = k lcm(a_j), the table is the single exact entry
-H_j(t) = a_j [t == 0 mod a_j]: a gamma contributes only if, for every j,
-gamma == -mu_j b_j^* (mod a_j) for some mu_j, the congruence system below.
+when d | t.  A table therefore costs at most (a_j / d) min(a_j, r) terms.
+Since every t in a table is a multiple of d_j, a gamma contributes only if
+gamma == -mu_j b_j^* (mod d_j) for some mu_j, for every j: the support S is
+one CRT fold over the fibers with d_j > 1, lifted by lcm(d_j), and only the
+gamma in S are summed.  Z costs O(r) sines (every gamma enters the magnitude
+sum) plus O(|S| n) terms, plus O(sum_j (a_j / d_j) min(a_j, r)) for the
+tables.  At a level coprime to every a_j, S is all of 1..r-1.  When a_j | r,
+as for every fiber of a double at r = k lcm(a_j), the table is the single
+exact entry H_j(t) = a_j [t == 0 mod a_j], and S is the k lifts of the
+gamma of the congruence system below.
 Every phase is exp(i pi num / den) for integers num and den, reduced modulo 2
 in integer arithmetic and exact at quarter turns, so the only rounding
 before exp is the one of num / den; every sum is accumulated with
@@ -74,9 +79,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterator
 
-from .congruence import CongruenceCertificate, _fiber_constraints, dedekind_sum, enumerate_solutions, system_modulus
+from .congruence import CongruenceCertificate, _crt_fold, dedekind_sum, enumerate_solutions
 from .errors import DomainError, _in_float_range, _is_int
 from .rootdata import _require_level
 from .symbols import SeifertSymbol, euler_number
@@ -151,21 +157,39 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     }
 
 
+def _support(bstars: list[tuple[int, int]], r: int) -> Iterator[int]:
+    """The gamma in 1..r-1 at which no Gauss table is zero by divisibility, in no set order.
+
+    Every key of the table of a fiber (a, b^*) is a multiple of d = gcd(r, a), so gamma
+    survives only if gamma == -+b^* (mod d) for every fiber; fibers with d = 1 constrain nothing.
+    """
+    # (d, c) and (d, -c mod d) allow the same residues, so a mirrored pair folds once
+    constraints = list({(d, min(bstar % d, -bstar % d)) for a, bstar in bstars if (d := math.gcd(r, a)) > 1})
+    solutions, modulus = _crt_fold(constraints, [(1, -1)] * len(constraints))
+    # a set, so that each gamma comes once however many sign vectors reach it; gamma = 0 is not a term
+    return chain.from_iterable(range(residue or modulus, r, modulus) for residue in {t for t, _ in solutions})
+
+
 @_in_float_range
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
-    """The double sum Z, its inner sum over m taken as one Gauss sum per fiber."""
+    """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
+
+    Costs O(r) sines, for the magnitude of every term, plus O(|S| n) terms, where
+    S is the set of gamma at which every Gauss table can be nonzero (_support).
+    """
     _require_level(r)
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     euler = euler_number(symbol)
     exponent = symbol.fiber_count + symbol.a_eps * symbol.genus - 2
     odd_sign = symbol.a_eps * symbol.genus % 2
-    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in _fiber_constraints(symbol.fibers)]
+    bstars = [(a, pow(b, -1, a)) for a, b in symbol.fibers]  # SeifertSymbol has checked every fiber
+    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in bstars]
+    scales = list(map(pow, map(math.sin, [math.pi * gamma / r for gamma in range(1, r)]), repeat(-exponent)))
 
-    terms, scales = [], []
-    for gamma in range(1, r):
-        scale = math.sin(math.pi * gamma / r) ** -exponent
-        scales.append(scale)
+    terms = []
+    for gamma in _support(bstars, r):
+        scale = scales[gamma - 1]
         term = -scale if gamma & odd_sign else scale
         for a, bstar, table in fibers:
             plus = table.get((gamma + bstar) % a, 0)
@@ -202,7 +226,7 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCe
             "the simplified form and the lower bound need at least one fiber and "
             "every multiplicity >= 2; normalize the symbol to absorb unit fibers"
         )
-    A = system_modulus(symbol.fibers)
+    A = math.lcm(*(a for a, _ in symbol.fibers))
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
     return A, r // A, enumerate_solutions(symbol.fibers)

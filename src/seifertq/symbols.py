@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any
 
 from .congruence import _fibers
 from .errors import DomainError, MalformedInputError, _is_int

@@ -10,8 +10,6 @@ reported as such rather than silently discarded.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import DomainError, NumericInconsistencyError, _in_float_range
 from .rt import InvariantValue, rt_closed
 from .symbols import SeifertSymbol, double
@@ -23,7 +21,7 @@ _IMAG_TOLERANCE = 1e-9
 
 def _tv_from_rt(rt: InvariantValue) -> InvariantValue:
     """TV of a closed symbol from its RT value: |RT|^2."""
-    return replace(rt, value=abs(rt.value) ** 2, method="tv-closed")
+    return InvariantValue(abs(rt.value) ** 2, rt.r, "tv-closed", rt.term_count, rt.term_magnitude_sum, rt.warnings)
 
 
 def _tv_from_double_rt(rt: InvariantValue) -> InvariantValue:
@@ -34,7 +32,7 @@ def _tv_from_double_rt(rt: InvariantValue) -> InvariantValue:
             f"double's invariant should be real; got imaginary part {imag:.3e} "
             f"against real part {real:.3e} at r={rt.r}"
         )
-    return replace(rt, value=real, method="tv-bounded")
+    return InvariantValue(real, rt.r, "tv-bounded", rt.term_count, rt.term_magnitude_sum, rt.warnings)
 
 
 @_in_float_range

@@ -1,7 +1,8 @@
 """Chiral invariants: direct sums, prefactors, and the simplified double form.
 
 z_direct is cross-checked against a plain triple-loop oracle that evaluates
-every phase with floating exponentials and no shared code; the simplified
+every phase with floating exponentials and no shared code, and bit for bit
+against the same Gauss-sum evaluation looped over every gamma; the simplified
 double-sum form is then checked against z_direct on the doubled symbol.
 """
 
@@ -12,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +25,7 @@ import seifertq.congruence
 import seifertq.rt
 from seifertq import (
     DomainError,
+    InvariantValue,
     SeifertSymbol,
     dedekind_sum,
     double,
@@ -30,13 +33,14 @@ from seifertq import (
     lower_bound,
     normalize,
     rt_closed,
+    tv_bounded,
     tv_closed,
     unit_phase,
     verlinde_dimension,
     z_direct,
     z_double_simplified,
 )
-from seifertq.rt import _phase
+from seifertq.rt import _fsum_complex, _gauss_table, _phase
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -143,6 +147,120 @@ def test_z_direct_preconditions():
         z_direct(SeifertSymbol("o", 1, boundary=True), 5)  # bounded symbol
     with pytest.raises(DomainError):
         z_direct(SeifertSymbol("o", 1, ((0, 1),)), 5)  # zero multiplicity
+
+
+def full_loop_z(symbol, r):
+    """z_direct as a loop over every gamma in 1..r-1, each looked up in every Gauss table."""
+    euler = euler_number(symbol)
+    exponent = symbol.fiber_count + symbol.a_eps * symbol.genus - 2
+    odd_sign = symbol.a_eps * symbol.genus % 2
+    bstars = [(a, pow(b, -1, a)) for a, b in symbol.fibers]
+    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in bstars]
+
+    terms, scales = [], []
+    for gamma in range(1, r):
+        scale = math.sin(math.pi * gamma / r) ** -exponent
+        scales.append(scale)
+        term = -scale if gamma & odd_sign else scale
+        for a, bstar, table in fibers:
+            plus = table.get((gamma + bstar) % a, 0)
+            minus = table.get((gamma - bstar) % a, 0)
+            if not (plus or minus):
+                break
+            phase = _phase(gamma, a * r)
+            term *= phase.conjugate() * plus - phase * minus
+        else:
+            terms.append(term * _phase(euler.numerator * gamma * gamma, 2 * r * euler.denominator))
+
+    per_gamma = 2 ** len(fibers) * math.prod(a for a, _, _ in fibers)
+    magnitude = per_gamma * math.fsum(scales)
+    return InvariantValue(
+        value=_fsum_complex(terms) if magnitude < math.inf else magnitude,
+        r=r,
+        method="direct",
+        term_count=(r - 1) * per_gamma,
+        term_magnitude_sum=magnitude,
+    )
+
+
+@st.composite
+def symbols_at_levels(draw):
+    """A closed symbol (n <= 4, a <= 15, unit fibers, repeated moduli) and an odd level r.
+
+    The level is of one of three kinds: r = k lcm(a_j) with every a_j odd; r
+    coprime to every a_j; or r < max a_j, where a Gauss table is built from
+    the residues that occur.
+    """
+    kind = draw(st.sampled_from(("multiple", "coprime", "below")))
+    multiplicities = range(1, 16, 2) if kind == "multiple" else range(1, 16)
+    pool = draw(st.lists(st.sampled_from(multiplicities), min_size=1, max_size=3))
+    moduli = draw(st.lists(st.sampled_from(pool), min_size=1 if kind == "below" else 0, max_size=4))
+    if kind == "below":
+        moduli[0] = draw(st.integers(4, 15))
+    fibers = tuple((a, draw(st.sampled_from([b for b in range(-a, 2 * a + 1) if math.gcd(a, b) == 1]))) for a in moduli)
+    if kind == "multiple":
+        modulus = math.lcm(*moduli)
+        r = draw(st.sampled_from([k * modulus for k in (1, 3) if k * modulus >= 3]))
+    elif kind == "coprime":
+        r = 2 * draw(st.integers(1, 30)) + 1
+        while any(math.gcd(r, a) > 1 for a in moduli):
+            r += 2
+    else:
+        r = draw(st.sampled_from(range(3, max(moduli), 2)))
+    return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 2)), fibers), r
+
+
+@settings(deadline=None)
+@given(case=symbols_at_levels())
+def test_z_direct_equals_full_loop(case):
+    symbol, r = case
+    got, want = z_direct(symbol, r), full_loop_z(symbol, r)
+    # value and term_magnitude_sum are compared exactly: fsum does not depend on the order of the terms
+    assert (got.value, got.term_magnitude_sum, got.term_count, got.warnings) == (
+        want.value,
+        want.term_magnitude_sum,
+        want.term_count,
+        want.warnings,
+    )
+
+
+def _record_support_and_phases(monkeypatch):
+    """Record each support z_direct sums over, and the calls to _phase by (num, den)."""
+    supports, phases = [], Counter()
+    support, phase = seifertq.rt._support, seifertq.rt._phase
+
+    def recording_support(bstars, r):
+        supports.append(list(support(bstars, r)))
+        return supports[-1]
+
+    def counting_phase(num, den):
+        phases[num, den] += 1
+        return phase(num, den)
+
+    monkeypatch.setattr(seifertq.rt, "_support", recording_support)
+    monkeypatch.setattr(seifertq.rt, "_phase", counting_phase)
+    return supports, phases
+
+
+def test_z_direct_sums_only_the_surviving_gamma(monkeypatch):
+    supports, phases = _record_support_and_phases(monkeypatch)
+    r = 9 * 45
+    z_direct(double(SeifertSymbol("o", 1, ((45, 1),), boundary=True)), r)
+    # gamma == -+1 (mod 45), lifted by 45 nine times
+    surviving = sorted(p * 45 + t for p in range(9) for t in (1, 44))
+    assert len(surviving) == 2 * 9
+    assert [sorted(support) for support in supports] == [surviving]
+    # each fiber, (45, 1) and (45, -1), takes the phase exp(i pi gamma / (45 r)) once per gamma
+    assert {num: count for (num, den), count in phases.items() if den == 45 * r} == dict.fromkeys(surviving, 2)
+
+
+def test_z_direct_visits_each_gamma_once_at_a_coprime_level(monkeypatch):
+    supports, phases = _record_support_and_phases(monkeypatch)
+    r = 27
+    z_direct(SeifertSymbol("n", 2, ((7, 2), (11, 3), (7, -2), (1, 1))), r)
+    assert [sorted(support) for support in supports] == [list(range(1, r))]
+    # an odd a coprime to r leaves no Gauss sum zero, so every gamma reaches the fiber (11, 3)
+    assert {num: count for (num, den), count in phases.items() if den == 11 * r} == dict.fromkeys(range(1, r), 1)
 
 
 # -- rt_closed ---------------------------------------------------------------------
@@ -383,6 +501,22 @@ def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
     monkeypatch.setattr(seifertq.congruence, "_fiber_constraints", counting)
     evaluate(ANCHOR_SYMBOL, 15)
     assert len(calls) == 1
+
+
+def test_rt_path_checks_each_fiber_once(monkeypatch):
+    closed = double(ANCHOR_SYMBOL)
+    fiber, checked = seifertq.congruence._fiber, []
+
+    def counting(a, b):
+        checked.append((a, b))
+        return fiber(a, b)
+
+    monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
+    tv_bounded(ANCHOR_SYMBOL, 15)
+    assert checked == list(closed.fibers)  # the 2n fibers of D(M), once each, as double builds it
+    checked.clear()
+    rt_closed(closed, 15)
+    assert checked == []
 
 
 def test_import_and_evaluation_leave_numpy_unloaded():
