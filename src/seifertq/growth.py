@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DegenerateSystemError, DomainError, _in_float_range
 from .rt import _double_setup, rt_closed
 from .symbols import SeifertSymbol, double
-from .tv import _tv_from_double_rt, _tv_from_rt, tv_bounded, tv_closed
+from .tv import _tv_from_double_rt, _tv_from_rt, tv_closed
 
 __all__ = ["LowerBound", "lower_bound", "LemmaCheck", "verify_lemma", "LtvSample", "ltv_scan"]
 
@@ -110,6 +110,9 @@ class LtvSample:
 def ltv_scan(symbol: SeifertSymbol, levels: list[int]) -> tuple[tuple[LtvSample, ...], float | None]:
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
+    TV_r is tv_closed of a closed symbol, and tv_bounded of a bounded one,
+    taken from RT of the double, which is built once for every level.
+
     Returns the samples and, when at least two distinct levels are given,
     the least-squares slope of log |TV_r| against log r (None otherwise).
     The slope estimates the polynomial growth exponent of the invariant; a
@@ -117,9 +120,10 @@ def ltv_scan(symbol: SeifertSymbol, levels: list[int]) -> tuple[tuple[LtvSample,
     """
     if not levels:
         raise DomainError("ltv_scan needs at least one level")
+    doubled = double(symbol) if symbol.has_boundary else None  # built once for every level
     samples = []
     for r in levels:
-        inv = tv_bounded(symbol, r) if symbol.has_boundary else tv_closed(symbol, r)
+        inv = tv_closed(symbol, r) if doubled is None else _tv_from_double_rt(rt_closed(doubled, r))
         magnitude = abs(float(inv.value.real))
         if magnitude == 0.0:
             raise DomainError(f"invariant vanishes at r={r}; LTV is undefined")

@@ -37,9 +37,12 @@ when d | t.  A table therefore costs at most (a_j / d) min(a_j, r) terms.
 Since every t in a table is a multiple of d_j, a gamma contributes only if
 gamma == -mu_j b_j^* (mod d_j) for some mu_j, for every j: the support S is
 one CRT fold over the fibers with d_j > 1, lifted by lcm(d_j), and only the
-gamma in S are summed.  Z costs O(r) sines (every gamma enters the magnitude
-sum) plus O(|S| n) terms, plus O(sum_j (a_j / d_j) min(a_j, r)) for the
-tables.  At a level coprime to every a_j, S is all of 1..r-1.  When a_j | r,
+gamma in S are summed.  Z costs O(|S| n) terms and |S| sines, plus
+O(sum_j (a_j / d_j) min(a_j, r)) for the tables, plus one O(r) pass per
+(r, E) per process for the magnitude sum of sin^{-E} over every gamma, which
+depends on the level and the exponent E = n + a_eps g - 2 only and is cached.
+At a level coprime to every a_j, S is all of 1..r-1 and the loop's own sines
+give that sum.  When a_j | r,
 as for every fiber of a double at r = k lcm(a_j), the table is the single
 exact entry H_j(t) = a_j [t == 0 mod a_j], and S is the k lifts of the
 gamma of the congruence system below.
@@ -54,7 +57,9 @@ fiber (a, -b mod a) in P1, and only the fibers left unpaired need their
 Dedekind sums.  On an orientation double e = 0, so P3 = 1, and every fiber
 has its mirror, so P1 = 1 with no Dedekind sum computed.  With the rational
 x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), P1 is
-exp(i pi num / den) with num / den = x / 2r, P3 is
+exp(i pi num / den) with num / den = x / 2r; x is an integer over the
+denominator of e unless unpaired fibers add Dedekind sums, the only case
+that builds a Fraction.  P3 is
 exp(i pi 3 (1 - a_eps) sign(e) / 4), and the powers in P2 have the
 half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
 
@@ -75,12 +80,12 @@ positive-or-negative real number otherwise.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .congruence import CongruenceCertificate, _crt_fold, dedekind_sum, enumerate_solutions
 from .errors import DomainError, _in_float_range, _is_int
@@ -157,7 +162,7 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     }
 
 
-def _support(bstars: list[tuple[int, int]], r: int) -> Iterator[int]:
+def _support(bstars: list[tuple[int, int]], r: int) -> Sequence[int]:
     """The gamma in 1..r-1 at which no Gauss table is zero by divisibility, in no set order.
 
     Every key of the table of a fiber (a, b^*) is a multiple of d = gcd(r, a), so gamma
@@ -165,17 +170,31 @@ def _support(bstars: list[tuple[int, int]], r: int) -> Iterator[int]:
     """
     # (d, c) and (d, -c mod d) allow the same residues, so a mirrored pair folds once
     constraints = list({(d, min(bstar % d, -bstar % d)) for a, bstar in bstars if (d := math.gcd(r, a)) > 1})
+    if not constraints:
+        return range(1, r)
     solutions, modulus = _crt_fold(constraints, [(1, -1)] * len(constraints))
-    # a set, so that each gamma comes once however many sign vectors reach it; gamma = 0 is not a term
-    return chain.from_iterable(range(residue or modulus, r, modulus) for residue in {t for t, _ in solutions})
+    # a set, so that each gamma comes once however many sign vectors reach it; no residue is 0 mod d > 1
+    return [gamma for residue in {t for t, _ in solutions} for gamma in range(residue, r, modulus)]
+
+
+def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
+    """sin^{-E}(pi gamma / r) for each gamma, in order."""
+    return list(map(pow, map(math.sin, [math.pi * gamma / r for gamma in gammas]), repeat(-exponent)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _scale_sum(r: int, exponent: int) -> float:
+    """fsum of sin^{-E}(pi gamma / r) over gamma = 1..r-1, once per (r, E) per process."""
+    return math.fsum(_scales(range(1, r), r, exponent))
 
 
 @_in_float_range
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Costs O(r) sines, for the magnitude of every term, plus O(|S| n) terms, where
-    S is the set of gamma at which every Gauss table can be nonzero (_support).
+    Costs O(|S| n) terms and |S| sines, where S is the set of gamma at which
+    every Gauss table can be nonzero (_support), plus one O(r) pass per
+    (r, E) per process for the magnitude sum (_scale_sum).
     """
     _require_level(r)
     if symbol.has_boundary:
@@ -185,11 +204,11 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     odd_sign = symbol.a_eps * symbol.genus % 2
     bstars = [(a, pow(b, -1, a)) for a, b in symbol.fibers]  # SeifertSymbol has checked every fiber
     fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in bstars]
-    scales = list(map(pow, map(math.sin, [math.pi * gamma / r for gamma in range(1, r)]), repeat(-exponent)))
+    support = _support(bstars, r)
+    scales = _scales(support, r, exponent)
 
     terms = []
-    for gamma in _support(bstars, r):
-        scale = scales[gamma - 1]
+    for gamma, scale in zip(support, scales):
         term = -scale if gamma & odd_sign else scale
         for a, bstar, table in fibers:
             plus = table.get((gamma + bstar) % a, 0)
@@ -202,7 +221,8 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
             terms.append(term * _phase(euler.numerator * gamma * gamma, 2 * r * euler.denominator))
 
     per_gamma = 2 ** len(fibers) * math.prod(a for a, _, _ in fibers)
-    magnitude = per_gamma * math.fsum(scales)
+    # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
+    magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
     return InvariantValue(
         # magnitude bounds every |term|; past the float range fsum could meet inf - inf
         value=_fsum_complex(terms) if magnitude < math.inf else magnitude,
@@ -269,16 +289,16 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
 
 
-def _unpaired(fibers: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
+def _unpaired(fibers: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """The fibers (a, b mod a) left once each is cancelled against one (a, -b mod a)."""
-    left: Counter = Counter()
+    left: dict[tuple[int, int], int] = {}
     for a, b in fibers:
         mirror = (a, -b % a)
-        if left[mirror]:
+        if left.get(mirror):
             left[mirror] -= 1
         else:
-            left[a, b % a] += 1
-    return left.elements()
+            left[a, b % a] = left.get((a, b % a), 0) + 1
+    return [fiber for fiber, count in left.items() for _ in range(count)]
 
 
 @_in_float_range
@@ -290,12 +310,15 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     a_eps = symbol.a_eps
     g = symbol.genus
     euler = euler_number(symbol)
-    sign_e = (euler > 0) - (euler < 0)
+    sign_e = (euler.numerator > 0) - (euler.numerator < 0)
 
-    # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
-    dedekind_total = sum(dedekind_sum(b, a) for a, b in _unpaired(fibers))
-    x = 3 * (a_eps - 1) * sign_e - euler - 12 * dedekind_total
-    p1 = _phase(x.numerator, 2 * r * x.denominator)
+    # x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), over e's denominator while no Dedekind sum enters
+    num, den = 3 * (a_eps - 1) * sign_e * euler.denominator - euler.numerator, euler.denominator
+    unpaired = _unpaired(fibers)  # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
+    if unpaired:
+        x = Fraction(num, den) - 12 * sum(dedekind_sum(b, a) for a, b in unpaired)
+        num, den = x.numerator, x.denominator
+    p1 = _phase(num, 2 * r * den)
     p2 = (
         (-1.0) ** (a_eps * g)
         * 1j**n
@@ -317,11 +340,11 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
 @_in_float_range
 def verlinde_dimension(genus: int, r: int) -> float:
-    """dim of the level-r space on a genus-g surface: (r/2)^{g-1} sum sin^{2-2g}."""
+    """dim of the level-r space on a genus-g surface: (r/2)^{g-1} sum sin^{2-2g}.
+
+    The sum is _scale_sum(r, 2g - 2), the kernel z_direct takes its magnitude sum from.
+    """
     _require_level(r)
     if not _is_int(genus) or genus < 1:
         raise DomainError(f"genus must be a positive integer, got {genus!r}")
-    power = 2 - 2 * genus
-    return (r / 2.0) ** (genus - 1) * math.fsum(
-        math.sin(math.pi * j / r) ** power for j in range(1, r)
-    )
+    return (r / 2.0) ** (genus - 1) * _scale_sum(r, 2 * genus - 2)

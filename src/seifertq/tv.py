@@ -41,9 +41,8 @@ def tv_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     return _tv_from_rt(rt_closed(symbol, r))
 
 
-@_in_float_range
 def tv_bounded(symbol: SeifertSymbol, r: int) -> InvariantValue:
-    """RT of the orientation double of a bounded symbol; real by construction."""
+    """RT of the orientation double of a bounded symbol; real, and in float range once rt_closed is."""
     if not symbol.has_boundary:
         raise DomainError("tv_bounded expects a symbol with boundary; use tv_closed")
     return _tv_from_double_rt(rt_closed(double(symbol), r))

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import seifertq.congruence
 import seifertq.rt
 from seifertq import (
     DegenerateSystemError,
@@ -91,6 +92,22 @@ def test_lemma_evaluates_rt_once(monkeypatch):
             monkeypatch.setattr(module, "rt_closed", counting)
     verify_lemma(ANCHOR, 15)
     assert calls == [(double(ANCHOR), 15)]
+
+
+def test_ltv_scan_builds_one_double(monkeypatch):
+    doubled = double(ANCHOR)
+    fiber, checked = seifertq.congruence._fiber, []
+
+    def counting(a, b):
+        checked.append((a, b))
+        return fiber(a, b)
+
+    monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
+    samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
+    # the 2n fibers of D(M), checked once as double builds it, not once per level
+    assert checked == list(doubled.fibers)
+    monkeypatch.undo()
+    assert [s.tv_value for s in samples] == [tv_bounded(ANCHOR, r).value for r in (15, 45, 75)]
 
 
 def test_ltv_scan_decreases_toward_zero():

@@ -40,7 +40,7 @@ from seifertq import (
     z_direct,
     z_double_simplified,
 )
-from seifertq.rt import _fsum_complex, _gauss_table, _phase
+from seifertq.rt import _fsum_complex, _gauss_table, _phase, _scale_sum
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -214,14 +214,11 @@ def symbols_at_levels(draw):
 @given(case=symbols_at_levels())
 def test_z_direct_equals_full_loop(case):
     symbol, r = case
-    got, want = z_direct(symbol, r), full_loop_z(symbol, r)
+    _scale_sum.cache_clear()
+    cold, warm, want = z_direct(symbol, r), z_direct(symbol, r), full_loop_z(symbol, r)
     # value and term_magnitude_sum are compared exactly: fsum does not depend on the order of the terms
-    assert (got.value, got.term_magnitude_sum, got.term_count, got.warnings) == (
-        want.value,
-        want.term_magnitude_sum,
-        want.term_count,
-        want.warnings,
-    )
+    fields = lambda z: (z.value, z.term_magnitude_sum, z.term_count, z.warnings)  # noqa: E731
+    assert fields(cold) == fields(warm) == fields(want)
 
 
 def _record_support_and_phases(monkeypatch):
@@ -261,6 +258,52 @@ def test_z_direct_visits_each_gamma_once_at_a_coprime_level(monkeypatch):
     assert [sorted(support) for support in supports] == [list(range(1, r))]
     # an odd a coprime to r leaves no Gauss sum zero, so every gamma reaches the fiber (11, 3)
     assert {num: count for (num, den), count in phases.items() if den == 11 * r} == dict.fromkeys(range(1, r), 1)
+
+
+# -- the level sum of sin^{-E} ------------------------------------------------------
+
+
+# sum_{gamma=1}^{r-1} csc^{2m}(pi gamma / r) in closed form for odd r (Berndt-Yeap, Adv. Appl. Math. 29, 2002)
+CSC_POWER_SUMS = {
+    2: lambda r: (r * r - 1) / 3,
+    4: lambda r: (r * r - 1) * (r * r + 11) / 45,
+    6: lambda r: (r * r - 1) * (2 * r**4 + 23 * r * r + 191) / 945,
+}
+
+
+@given(r=st.sampled_from(range(3, 302, 2)), exponent=st.sampled_from(sorted(CSC_POWER_SUMS)))
+def test_scale_sum_matches_closed_form(r, exponent):
+    # near gamma = r the argument's rounding costs about r / pi ulps per term, times the exponent
+    want = CSC_POWER_SUMS[exponent](r)
+    assert _scale_sum(r, exponent) == pytest.approx(want, rel=exponent * r * sys.float_info.epsilon)
+
+
+def _count_sines(monkeypatch):
+    calls, sin = [], math.sin
+
+    def counting(x):
+        calls.append(x)
+        return sin(x)
+
+    monkeypatch.setattr(math, "sin", counting)
+    return calls
+
+
+def test_z_direct_computes_sines_only_at_its_support(monkeypatch):
+    double_45 = double(SeifertSymbol("o", 1, ((45, 1),), boundary=True))
+    calls = _count_sines(monkeypatch)
+    _scale_sum.cache_clear()
+    z_direct(double_45, 405)
+    assert len(calls) == 18 + 404  # the 2 * 9 gamma of the support, then the level sum once
+    calls.clear()
+    z_direct(double_45, 405)
+    assert len(calls) == 18
+    # 407 = 11 * 37 is coprime to 45: every gamma is summed and its sines give the level sum, cold or warm
+    _scale_sum.cache_clear()
+    for _ in range(2):
+        calls.clear()
+        z_direct(double_45, 407)
+        assert len(calls) == 406
 
 
 # -- rt_closed ---------------------------------------------------------------------
@@ -382,6 +425,8 @@ def test_rt_closed_prefactor_matches_oracle_exactly(symbol, r):
         pytest.param(lambda: z_direct(SeifertSymbol("n", 1331, ((5, 1), (5, -1))), 5), id="z_direct-inf-minus-inf"),
         pytest.param(lambda: rt_closed(SeifertSymbol("o", 300), 7), id="rt_closed-product"),
         pytest.param(lambda: tv_closed(SeifertSymbol("o", 160), 7), id="tv_closed-square"),
+        # the range is checked by rt_closed on the double, genus 300
+        pytest.param(lambda: tv_bounded(SeifertSymbol("o", 150, boundary=True), 7), id="tv_bounded-double"),
         pytest.param(lambda: lower_bound(SeifertSymbol("o", 700, ((3, 1),), boundary=True), 3), id="lower_bound-power"),
     ],
 )
