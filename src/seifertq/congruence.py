@@ -45,9 +45,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, NonInvertibleError, NumericInconsistencyError, _is_int
 
@@ -183,8 +182,7 @@ def solve_system(fibers: Sequence[Fiber], mu: Sequence[int]) -> Optional[tuple[i
     return (solutions[0][0], modulus) if solutions else None
 
 
-@dataclass(frozen=True)
-class CongruenceCertificate:
+class CongruenceCertificate(NamedTuple):
     """Witness that the fiber congruence system is solvable.
 
     gamma/mu is one solution (the least gamma, ties broken by sign vector);
@@ -228,8 +226,7 @@ def enumerate_solutions(fibers: Sequence[Fiber]) -> Optional[CongruenceCertifica
     return CongruenceCertificate(gamma=gamma, mu=mu, modulus=modulus, set_b=tuple(solutions))
 
 
-@dataclass(frozen=True)
-class SystemClassification:
+class SystemClassification(NamedTuple):
     """Which sufficient solvability condition a fiber list satisfies.
 
     case is one of:

@@ -4,7 +4,8 @@ Each class carries the process exit code the command line tool maps it to,
 so the CLI never needs a type table of its own.  ``_in_float_range`` turns
 a float overflow in any evaluator into the same ``DomainError``.  The
 helpers shared by every layer live here too, because every module imports
-this one: ``_is_int`` (the integer test of all arguments) and
+this one: ``_is_int`` (the integer test of all arguments),
+``_require_level`` (the odd level r >= 3 of every invariant) and
 ``_read_text`` (the one file reader of the CLI and of triangulation files).
 """
 
@@ -75,7 +76,7 @@ def _in_float_range(evaluate):
             result = evaluate(*args, **kwargs)
         except OverflowError:
             result = float("inf")
-        fields = vars(result).values() if hasattr(result, "__dataclass_fields__") else (result,)
+        fields = result if isinstance(result, tuple) else (result,)
         if not all(cmath.isfinite(x) for x in fields if isinstance(x, (float, complex))):
             raise DomainError(f"{evaluate.__name__}: the value exceeds the float range")
         return result
@@ -85,6 +86,11 @@ def _in_float_range(evaluate):
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_level(r: int) -> None:
+    if not _is_int(r) or r < 3 or r % 2 == 0:
+        raise DomainError(f"level r must be an odd integer >= 3, got {r!r}")
 
 
 def _read_text(path, kind: str) -> str:

@@ -20,7 +20,7 @@ estimating the polynomial growth exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import DegenerateSystemError, DomainError, _in_float_range
 from .rt import _double_setup, rt_closed
@@ -30,8 +30,7 @@ from .tv import _tv_from_double_rt, _tv_from_rt, tv_closed
 __all__ = ["LowerBound", "lower_bound", "LemmaCheck", "verify_lemma", "LtvSample", "ltv_scan"]
 
 
-@dataclass(frozen=True)
-class LowerBound:
+class LowerBound(NamedTuple):
     value: float
     r: int
     modulus: int
@@ -59,17 +58,10 @@ def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
         * math.prod(a for a, _ in symbol.fibers)
         / 2.0 ** (2 * n + a_eps * symbol.genus - 1)
     )
-    return LowerBound(
-        value=value,
-        r=r,
-        modulus=A,
-        multiplier=k,
-        cardinality=certificate.cardinality,
-    )
+    return LowerBound(value, r, A, k, certificate.cardinality)
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     r: int
     bound: float
     tv_bounded_value: float
@@ -100,14 +92,13 @@ def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
     )
 
 
-@dataclass(frozen=True)
-class LtvSample:
+class LtvSample(NamedTuple):
     r: int
     tv_value: float
     ltv: float
 
 
-def ltv_scan(symbol: SeifertSymbol, levels: list[int]) -> tuple[tuple[LtvSample, ...], float | None]:
+def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSample, ...], float | None]:
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
     TV_r is tv_closed of a closed symbol, and tv_bounded of a bounded one,
@@ -118,6 +109,7 @@ def ltv_scan(symbol: SeifertSymbol, levels: list[int]) -> tuple[tuple[LtvSample,
     The slope estimates the polynomial growth exponent of the invariant; a
     finite exponent is what forces LTV to 0 along the sampled sequence.
     """
+    levels = list(levels)  # read once: an iterator gives its levels to the loop and the slope alike
     if not levels:
         raise DomainError("ltv_scan needs at least one level")
     doubled = double(symbol) if symbol.has_boundary else None  # built once for every level

@@ -54,7 +54,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import DomainError, _is_int
+from .errors import DomainError, _is_int, _require_level
 
 __all__ = [
     "RootContext",
@@ -88,11 +88,6 @@ def _two_sin_two_pi(n: int, r: int) -> float:
     if 2 * x > 1:  # sin(pi (1 - t)) = sin(pi t)
         x = 1 - x
     return sign * 2.0 * math.sin(math.pi * float(x))
-
-
-def _require_level(r: int) -> None:
-    if not _is_int(r) or r < 3 or r % 2 == 0:
-        raise DomainError(f"level r must be an odd integer >= 3, got {r!r}")
 
 
 class RootContext:

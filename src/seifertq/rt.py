@@ -82,14 +82,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .congruence import CongruenceCertificate, _crt_fold, dedekind_sum, enumerate_solutions
-from .errors import DomainError, _in_float_range, _is_int
-from .rootdata import _require_level
+from .errors import DomainError, _in_float_range, _is_int, _require_level
 from .symbols import SeifertSymbol, euler_number
 
 __all__ = [
@@ -104,8 +102,7 @@ __all__ = [
 _QUARTER_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # exp(i pi k / 2), k = 0..3
 
 
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(NamedTuple):
     """A computed invariant together with its numerical provenance.
 
     term_count and term_magnitude_sum are the number and the summed moduli of
@@ -121,7 +118,7 @@ class InvariantValue:
     method: str
     term_count: int
     term_magnitude_sum: float
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 def _fsum_complex(values: list[complex]) -> complex:

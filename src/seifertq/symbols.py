@@ -38,9 +38,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .congruence import _fibers
 from .errors import DomainError, MalformedInputError, _is_int
@@ -59,9 +58,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeifertSymbol:
-    """An unnormalized Seifert symbol.
+class _SymbolFields(NamedTuple):
+    epsilon: str
+    genus: int
+    fibers: tuple[tuple[int, int], ...] = ()
+    boundary: bool = False
+
+
+class SeifertSymbol(_SymbolFields):
+    """An unnormalized Seifert symbol, an immutable named tuple checked on construction.
 
     Attributes:
         epsilon: 'o' (orientable base) or 'n' (non-orientable base).
@@ -70,19 +75,20 @@ class SeifertSymbol:
         boundary: True if the base surface has a boundary circle.
     """
 
-    epsilon: str
-    genus: int
-    fibers: tuple[tuple[int, int], ...] = field(default=())
-    boundary: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in ("o", "n"):
-            raise DomainError(f"epsilon must be 'o' or 'n', got {self.epsilon!r}")
-        if not _is_int(self.genus) or self.genus <= 0:
-            raise DomainError(f"genus must be a positive integer, got {self.genus!r}")
-        if not isinstance(self.boundary, bool):
-            raise DomainError(f"boundary must be True or False, got {self.boundary!r}")
-        object.__setattr__(self, "fibers", _fibers(self.fibers))
+    def __new__(cls, epsilon: str, genus: int, fibers: Iterable = (), boundary: bool = False) -> SeifertSymbol:
+        if epsilon not in ("o", "n"):
+            raise DomainError(f"epsilon must be 'o' or 'n', got {epsilon!r}")
+        if not _is_int(genus) or genus <= 0:
+            raise DomainError(f"genus must be a positive integer, got {genus!r}")
+        if not isinstance(boundary, bool):
+            raise DomainError(f"boundary must be True or False, got {boundary!r}")
+        return super().__new__(cls, epsilon, genus, _fibers(fibers), boundary)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SeifertSymbol:
+        return cls(*iterable)  # so that _replace checks its result too
 
     @property
     def fiber_count(self) -> int:
@@ -129,17 +135,12 @@ def double(symbol: SeifertSymbol) -> SeifertSymbol:
     if not symbol.has_boundary:
         raise DomainError("double() requires a symbol with boundary")
     mirrored = tuple((a, -b) for a, b in symbol.fibers)
-    return SeifertSymbol(
-        epsilon=symbol.epsilon,
-        genus=2 * symbol.genus,
-        fibers=symbol.fibers + mirrored,
-        boundary=False,
-    )
+    return SeifertSymbol(symbol.epsilon, 2 * symbol.genus, symbol.fibers + mirrored, boundary=False)
 
 
 def reverse_orientation(symbol: SeifertSymbol) -> SeifertSymbol:
     """The same fibration with reversed orientation: every b_j is negated."""
-    return replace(symbol, fibers=tuple((a, -b) for a, b in symbol.fibers))
+    return SeifertSymbol(symbol.epsilon, symbol.genus, ((a, -b) for a, b in symbol.fibers), symbol.boundary)
 
 
 def normalize(symbol: SeifertSymbol) -> SeifertSymbol:
@@ -160,7 +161,7 @@ def normalize(symbol: SeifertSymbol) -> SeifertSymbol:
         # the carrier takes the sum of the other shifts, so the shifts sum to zero
         shift = sum(b // a for j, (a, b) in enumerate(fibers) if j != carrier)
     reduced = [(a, b + shift * a if j == carrier else b % a) for j, (a, b) in enumerate(fibers)]
-    return replace(symbol, fibers=tuple((a, b) for a, b in reduced if (a, b) != (1, 0)))
+    return SeifertSymbol(symbol.epsilon, symbol.genus, [f for f in reduced if f != (1, 0)], symbol.boundary)
 
 
 # -- serialization ------------------------------------------------------------
@@ -195,12 +196,7 @@ def symbol_from_dict(data: Any) -> SeifertSymbol:
         raise MalformedInputError("boundary must be true or false")
     if not isinstance(data["epsilon"], str):
         raise MalformedInputError(f"epsilon must be a string, got {data['epsilon']!r}")
-    return SeifertSymbol(
-        epsilon=data["epsilon"],
-        genus=genus,
-        fibers=tuple(pairs),
-        boundary=data["boundary"],
-    )
+    return SeifertSymbol(data["epsilon"], genus, pairs, data["boundary"])
 
 
 def symbol_to_json(symbol: SeifertSymbol) -> str:

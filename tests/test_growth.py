@@ -153,3 +153,14 @@ def test_ltv_scan_slope_is_least_squares():
 def test_ltv_scan_needs_levels():
     with pytest.raises(DomainError):
         ltv_scan(ANCHOR, [])
+
+
+def test_ltv_scan_reads_an_iterator_once():
+    samples, slope = ltv_scan(ANCHOR, iter([15, 45]))
+    assert (samples, slope) == ltv_scan(ANCHOR, [15, 45])
+    assert slope == pytest.approx(6.96, abs=0.01)
+
+
+def test_ltv_scan_rejects_an_empty_iterator():
+    with pytest.raises(DomainError):
+        ltv_scan(ANCHOR, iter([]))

@@ -13,6 +13,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 
 def _run(code: str):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -42,12 +44,30 @@ def test_dedekind_subcommand_loads_only_its_modules():
     assert "seifertq.congruence" in modules
 
 
-def test_sixj_subcommand_skips_dataclasses():
-    modules, dataclasses_loaded = _loaded_after(
-        "from seifertq.cli import main\nmain(['sixj', '--r', '7', '2', '2', '2', '2', '2', '2'])"
-    )
-    assert "seifertq.rootdata" in modules
+CLOSED = '{"epsilon": "o", "genus": 1, "fibers": [[3, 1], [5, 2]], "boundary": false}'
+BOUNDED = '{"epsilon": "o", "genus": 1, "fibers": [[3, 1], [5, 1]], "boundary": true}'
+TRI = os.path.join(os.path.dirname(__file__), os.pardir, "src", "seifertq", "data", "s3_two_tet.tri")
+
+# argv of each subcommand, and whether it needs rootdata: the RT path checks its level through errors
+SUBCOMMANDS = [
+    pytest.param(["rt", "--symbol", CLOSED, "--r", "7"], False, id="rt"),
+    pytest.param(["tv", "--symbol", BOUNDED, "--r", "15"], False, id="tv-symbol"),
+    pytest.param(["tv", "--tri", TRI, "--r", "5"], True, id="tv-tri"),
+    pytest.param(["double", "--symbol", BOUNDED], False, id="double"),
+    pytest.param(["normalize", "--symbol", CLOSED], False, id="normalize"),
+    pytest.param(["certify", "--symbol", BOUNDED], False, id="certify"),
+    pytest.param(["dedekind", "1", "3"], False, id="dedekind"),
+    pytest.param(["sixj", "--r", "7", "2", "2", "2", "2", "2", "2"], True, id="sixj"),
+    pytest.param(["scan", "--symbol", BOUNDED, "--k", "1,3"], False, id="scan"),
+    pytest.param(["bound", "--symbol", BOUNDED, "--k", "1", "--verify"], False, id="bound-verify"),
+]
+
+
+@pytest.mark.parametrize(("argv", "uses_rootdata"), SUBCOMMANDS)
+def test_subcommand_skips_dataclasses(argv, uses_rootdata):
+    modules, dataclasses_loaded = _loaded_after(f"from seifertq.cli import main\nassert main({argv!r}) == 0")
     assert not dataclasses_loaded
+    assert ("seifertq.rootdata" in modules) == uses_rootdata
 
 
 def test_private_names_do_not_load_the_package():

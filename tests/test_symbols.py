@@ -56,6 +56,25 @@ def test_invalid_symbols_rejected(kwargs):
         SeifertSymbol(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [dict(genus=0), dict(epsilon="x"), dict(boundary="yes"), dict(fibers=((0, 1),))],
+    ids=["genus-0", "epsilon-x", "boundary-yes", "fiber-0-1"],
+)
+def test_replace_checks_the_new_symbol(change):
+    with pytest.raises(DomainError):
+        SeifertSymbol("o", 1, ((3, 1),))._replace(**change)
+
+
+def test_replace_and_make_store_checked_fibers():
+    symbol = SeifertSymbol("o", 1, ((5, 2),))._replace(fibers=[[3, 1]])
+    assert symbol == SeifertSymbol("o", 1, ((3, 1),))
+    assert symbol.fibers == ((3, 1),)
+    assert SeifertSymbol._make(["n", 2, [[3, 1]], True]).fibers == ((3, 1),)
+    with pytest.raises(DomainError):
+        SeifertSymbol._make(["o", 1, ((4, 2),), False])
+
+
 def test_euler_number_exact():
     s = SeifertSymbol("o", 1, ((3, 1), (5, -2), (7, 3)))
     assert euler_number(s) == Fraction(-1, 3) + Fraction(2, 5) - Fraction(3, 7)
