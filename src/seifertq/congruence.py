@@ -19,7 +19,8 @@ fiber, drops a prefix as soon as it is incompatible, and costs in proportion
 to the surviving partial solutions, at most 2^n.
 
 One rule, ``_fiber``, checks every fiber (integers a >= 1 and b with
-gcd(a, b) = 1) for SeifertSymbol, the functions below and dedekind_sum.
+gcd(a, b) = 1) for SeifertSymbol, the functions below and dedekind_sum,
+but not for ``_dedekind``, which RT calls on a symbol's checked fibers.
 
 The solution set is closed under the involution (gamma, mu) ->
 (A - gamma, -mu); fibers with a_j = 1 impose no constraint and contribute a
@@ -119,6 +120,11 @@ def dedekind_sum(b: int, a: int) -> Fraction:
     l < a/2 by the l <-> a - l symmetry in O(a) time and memory (0.3 s at a = 10^6).
     """
     _fiber(a, b)
+    return _dedekind(b, a)
+
+
+def _dedekind(b: int, a: int) -> Fraction:
+    """dedekind_sum(b, a) for a fiber (a, b) that _fiber has already checked."""
     # the sum so far is num / den, den = 12 * prefix * p; a step adds sign (p^2+q^2+1-3pq) / (12pq)
     num, den, prefix, sign = 0, 12 * a, 1, 1
     p, q = a, b % a

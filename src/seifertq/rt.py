@@ -63,6 +63,12 @@ that builds a Fraction.  P3 is
 exp(i pi 3 (1 - a_eps) sign(e) / 4), and the powers in P2 have the
 half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
 
+Only the tables, the support, the sines, the loop, P1's phase and P2's
+power of r depend on the level.  Everything else (e, E, the b_j^*, the
+Dedekind sums and P1's exponent, P2's other factors, P3) is built once per
+closed symbol per process by _plan, a cache bounded at 256 symbols, so a
+symbol evaluated at many levels pays for it once.
+
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
 collapse: m-blocks vanish unless (gamma mod A, mu) solves the congruence
@@ -86,7 +92,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .congruence import CongruenceCertificate, _crt_fold, dedekind_sum, enumerate_solutions
+from .congruence import CongruenceCertificate, _crt_fold, _dedekind, enumerate_solutions
 from .errors import DomainError, _in_float_range, _is_int, _require_level
 from .symbols import SeifertSymbol, euler_number
 
@@ -189,17 +195,15 @@ def _scale_sum(r: int, exponent: int) -> float:
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Costs O(|S| n) terms and |S| sines, where S is the set of gamma at which
-    every Gauss table can be nonzero (_support), plus one O(r) pass per
-    (r, E) per process for the magnitude sum (_scale_sum).
+    Per level it costs the Gauss tables, O(|S| n) terms and |S| sines, where S
+    is the set of gamma at which every Gauss table can be nonzero (_support),
+    plus one O(r) pass per (r, E) per process for the magnitude sum
+    (_scale_sum); e, E and the b^* come from the symbol's _plan.
     """
     _require_level(r)
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
-    euler = euler_number(symbol)
-    exponent = symbol.fiber_count + symbol.a_eps * symbol.genus - 2
-    odd_sign = symbol.a_eps * symbol.genus % 2
-    bstars = [(a, pow(b, -1, a)) for a, b in symbol.fibers]  # SeifertSymbol has checked every fiber
+    e_num, e_den, exponent, odd_sign, bstars, per_gamma = _plan(symbol)[:6]
     fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in bstars]
     support = _support(bstars, r)
     scales = _scales(support, r, exponent)
@@ -215,9 +219,8 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
             phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
             term *= phase.conjugate() * plus - phase * minus
         else:
-            terms.append(term * _phase(euler.numerator * gamma * gamma, 2 * r * euler.denominator))
+            terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den))
 
-    per_gamma = 2 ** len(fibers) * math.prod(a for a, _, _ in fibers)
     # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
     magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
     return InvariantValue(
@@ -298,33 +301,43 @@ def _unpaired(fibers: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     return [fiber for fiber, count in left.items() for _ in range(count)]
 
 
-@_in_float_range
-def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
-    """RT invariant of a closed symbol at level r."""
-    z = z_direct(symbol, r)  # validates r and the symbol
-    fibers = symbol.fibers
-    n = len(fibers)
-    a_eps = symbol.a_eps
-    g = symbol.genus
+@functools.lru_cache(maxsize=256)
+def _plan(symbol: SeifertSymbol) -> tuple:
+    """What z_direct and rt_closed need of a closed symbol at every level, as one tuple.
+
+    P1 = _phase(num, 2 r den) and P2 = sign * r**power / den at level r.
+    """
+    fibers = symbol.fibers  # SeifertSymbol has checked every fiber, so pow and _dedekind check none
+    n, a_eps, g = len(fibers), symbol.a_eps, symbol.genus
     euler = euler_number(symbol)
     sign_e = (euler.numerator > 0) - (euler.numerator < 0)
-
     # x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), over e's denominator while no Dedekind sum enters
     num, den = 3 * (a_eps - 1) * sign_e * euler.denominator - euler.numerator, euler.denominator
     unpaired = _unpaired(fibers)  # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
     if unpaired:
-        x = Fraction(num, den) - 12 * sum(dedekind_sum(b, a) for a, b in unpaired)
+        x = Fraction(num, den) - 12 * sum(_dedekind(b, a) for a, b in unpaired)
         num, den = x.numerator, x.denominator
-    p1 = _phase(num, 2 * r * den)
-    p2 = (
-        (-1.0) ** (a_eps * g)
-        * 1j**n
-        * float(r) ** ((a_eps * g - 2) / 2)
-        / (2.0 ** ((2 * n + a_eps * g - 2) / 2) * math.sqrt(math.prod(a for a, _ in fibers)))
-    )
-    p3 = _phase(3 * (1 - a_eps) * sign_e, 4)
+    prod_a = math.prod(a for a, _ in fibers)
+    try:
+        p2_den = 2.0 ** ((2 * n + a_eps * g - 2) / 2) * math.sqrt(prod_a)
+    except OverflowError:  # rt_closed's value is then nan, which its float-range check rejects
+        p2_den = math.nan
+    bstars = tuple((a, pow(b, -1, a)) for a, b in fibers)
+    p2_sign, p3 = (-1.0) ** (a_eps * g) * 1j**n, _phase(3 * (1 - a_eps) * sign_e, 4)
+    return (euler.numerator, euler.denominator, n + a_eps * g - 2, a_eps * g % 2, bstars, 2**n * prod_a,
+            num, den, p2_sign, (a_eps * g - 2) / 2, p2_den, p3)
 
-    prefactor = p1 * p2 * p3
+
+@_in_float_range
+def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
+    """RT invariant of a closed symbol at level r.
+
+    Costs one z_direct, then P1's phase and P2's power of r; the rest of the
+    prefactor comes from the symbol's _plan.
+    """
+    z = z_direct(symbol, r)  # validates r and the symbol, and builds its plan
+    num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[6:]
+    prefactor = _phase(num, 2 * r * den) * (p2_sign * float(r) ** p2_power / p2_den) * p3
     return InvariantValue(
         value=prefactor * z.value,
         r=r,

@@ -103,11 +103,19 @@ def test_ltv_scan_builds_one_double(monkeypatch):
         return fiber(a, b)
 
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
+    seifertq.rt._plan.cache_clear()
     samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
     # the 2n fibers of D(M), checked once as double builds it, not once per level
     assert checked == list(doubled.fibers)
     monkeypatch.undo()
     assert [s.tv_value for s in samples] == [tv_bounded(ANCHOR, r).value for r in (15, 45, 75)]
+
+
+def test_scan_and_lemma_build_one_plan():
+    seifertq.rt._plan.cache_clear()
+    ltv_scan(ANCHOR, [15, 45, 75])
+    verify_lemma(ANCHOR, 15)
+    assert seifertq.rt._plan.cache_info().misses == 1
 
 
 def test_ltv_scan_decreases_toward_zero():

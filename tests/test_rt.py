@@ -40,7 +40,7 @@ from seifertq import (
     z_direct,
     z_double_simplified,
 )
-from seifertq.rt import _fsum_complex, _gauss_table, _phase, _scale_sum
+from seifertq.rt import _fsum_complex, _gauss_table, _phase, _plan, _scale_sum
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -210,15 +210,19 @@ def symbols_at_levels(draw):
     return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 2)), fibers), r
 
 
+def _fields(z):
+    return z.value, z.term_magnitude_sum, z.term_count, z.warnings
+
+
 @settings(deadline=None)
 @given(case=symbols_at_levels())
 def test_z_direct_equals_full_loop(case):
     symbol, r = case
+    _plan.cache_clear()
     _scale_sum.cache_clear()
     cold, warm, want = z_direct(symbol, r), z_direct(symbol, r), full_loop_z(symbol, r)
     # value and term_magnitude_sum are compared exactly: fsum does not depend on the order of the terms
-    fields = lambda z: (z.value, z.term_magnitude_sum, z.term_count, z.warnings)  # noqa: E731
-    assert fields(cold) == fields(warm) == fields(want)
+    assert _fields(cold) == _fields(warm) == _fields(want)
 
 
 def _record_support_and_phases(monkeypatch):
@@ -292,6 +296,7 @@ def _count_sines(monkeypatch):
 def test_z_direct_computes_sines_only_at_its_support(monkeypatch):
     double_45 = double(SeifertSymbol("o", 1, ((45, 1),), boundary=True))
     calls = _count_sines(monkeypatch)
+    _plan.cache_clear()
     _scale_sum.cache_clear()
     z_direct(double_45, 405)
     assert len(calls) == 18 + 404  # the 2 * 9 gamma of the support, then the level sum once
@@ -361,13 +366,14 @@ def test_rt_invariant_under_normalize(symbol, r):
 
 
 def test_rt_closed_cancels_mirrored_dedekind_sums(monkeypatch):
-    calls = []
+    calls, dedekind = [], seifertq.rt._dedekind
 
     def counting(b, a):
         calls.append((b, a))
-        return dedekind_sum(b, a)
+        return dedekind(b, a)
 
-    monkeypatch.setattr(seifertq.rt, "dedekind_sum", counting)
+    monkeypatch.setattr(seifertq.rt, "_dedekind", counting)
+    _plan.cache_clear()
     rt_closed(double(SeifertSymbol("o", 1, ((3, 1), (5, 2)), boundary=True)), 15)
     assert calls == []
     rt_closed(SeifertSymbol("o", 1, ((3, 1), (5, 2), (3, -1))), 7)
@@ -411,6 +417,36 @@ def test_rt_closed_prefactor_matches_oracle_exactly(symbol, r):
     got = rt_closed(symbol, r)
     assert got.value == prefactor * z.value
     assert got.term_magnitude_sum == abs(prefactor) * z.term_magnitude_sum
+
+
+@settings(deadline=None)
+@given(symbol=mirrored_closed_symbols(), levels=st.lists(st.sampled_from(range(3, 30, 2)), min_size=2, max_size=2))
+def test_plan_built_at_one_level_serves_another(symbol, levels):
+    first, second = levels
+    for evaluate in (z_direct, rt_closed):
+        _plan.cache_clear()
+        evaluate(symbol, first)
+        warm = evaluate(symbol, second)
+        _plan.cache_clear()
+        assert _fields(warm) == _fields(evaluate(symbol, second))
+
+
+def test_plan_cache_is_bounded():
+    _plan.cache_clear()
+    maxsize = _plan.cache_info().maxsize
+    for genus in range(1, maxsize + 51):
+        z_direct(SeifertSymbol("o", genus % 3 + 1, ((genus + 2, 1),)), 3)
+    info = _plan.cache_info()
+    assert (info.misses, info.currsize) == (maxsize + 50, maxsize)
+
+
+def test_prefactor_overflow_is_rt_closed_s_domain_error():
+    # 2^((2n + a_eps g - 2) / 2) = 2^1024 overflows in the plan, which z_direct builds and does not use
+    symbol = SeifertSymbol("o", 501, ((1, 0),) * 524)
+    _plan.cache_clear()
+    assert math.isfinite(z_direct(symbol, 3).term_magnitude_sum)
+    with pytest.raises(DomainError, match="^rt_closed: the value exceeds the float range$"):
+        rt_closed(symbol, 3)
 
 
 # -- verlinde ----------------------------------------------------------------------
@@ -550,6 +586,7 @@ def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
 
 def test_rt_path_checks_each_fiber_once(monkeypatch):
     closed = double(ANCHOR_SYMBOL)
+    unpaired = SeifertSymbol("o", 1, ((3, 1), (5, 2)))  # no fiber pairs off, so P1 takes both Dedekind sums
     fiber, checked = seifertq.congruence._fiber, []
 
     def counting(a, b):
@@ -557,10 +594,13 @@ def test_rt_path_checks_each_fiber_once(monkeypatch):
         return fiber(a, b)
 
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
+    _plan.cache_clear()
     tv_bounded(ANCHOR_SYMBOL, 15)
     assert checked == list(closed.fibers)  # the 2n fibers of D(M), once each, as double builds it
     checked.clear()
     rt_closed(closed, 15)
+    assert checked == []
+    rt_closed(unpaired, 7)
     assert checked == []
 
 
