@@ -24,6 +24,8 @@ __all__ = [
     "NumericInconsistencyError",
 ]
 
+_INEXACT = (float, complex)  # the field types _in_float_range checks
+
 
 class SeifertQError(Exception):
     """Base class for all errors raised by this package."""
@@ -76,9 +78,9 @@ def _in_float_range(evaluate):
             result = evaluate(*args, **kwargs)
         except OverflowError:
             result = float("inf")
-        fields = result if isinstance(result, tuple) else (result,)
-        if not all(cmath.isfinite(x) for x in fields if isinstance(x, (float, complex))):
-            raise DomainError(f"{evaluate.__name__}: the value exceeds the float range")
+        for x in result if isinstance(result, tuple) else (result,):
+            if isinstance(x, _INEXACT) and not cmath.isfinite(x):
+                raise DomainError(f"{evaluate.__name__}: the value exceeds the float range")
         return result
 
     return checked

@@ -27,9 +27,22 @@ mu factors per fiber too:
         sum_{mu_j = +-1} mu_j exp(-i pi gamma mu_j / (a_j r)) H_j((gamma + mu_j b_j^*) mod a_j),
     H_j(t) = sum_{m in Z_{a_j}} exp(-2 pi i (t m + r b_j^* m^2) / a_j).
 
-H_j is tabulated once per fiber, for the t that occur.  Let d = gcd(r, a_j),
-which is gcd(r b_j^*, a_j).  Writing m = m' + (a_j / d) m'' leaves the
-quadratic term blind to m'', so the sum over m'' vanishes unless d | t, and
+Write F_j = conj(phi) H_j(gamma + b_j^*) - phi H_j(gamma - b_j^*), phi =
+exp(i pi gamma / (a_j r)), for fiber j's factor.  A mirrored fiber
+(a, -b mod a) has inverse -b^* and table conj(H), and H(-t) = H(t), so its
+factor is -conj(F): a mirrored pair contributes the real -|F|^2.  The fibers
+are therefore paired off once per symbol; each pair takes one table and the
+sign -1, and only the unpaired fibers take complex factors.  When only one
+of the pair's two entries is nonzero, |F|^2 is that entry's squared modulus
+and phi is not computed; at r = k lcm(a_j) with every a_j odd and >= 3 this
+is the case at every gamma.  An orientation double pairs every fiber and has
+e = 0, so its Z is a sum of real terms of the sign (-1)^n built from n
+tables, not 2n, and its RT is exactly real.
+
+H_j is tabulated once per pair or unpaired fiber, for the t that occur.
+Let d = gcd(r, a_j), which is gcd(r b_j^*, a_j).  Writing
+m = m' + (a_j / d) m'' leaves the quadratic term blind to m'', so the sum
+over m'' vanishes unless d | t, and
 
     H_j(t) = d sum_{m in Z_{a_j / d}} exp(-2 pi i ((t/d) m + (r b_j^*/d) m^2) / (a_j / d))
 
@@ -38,9 +51,10 @@ Since every t in a table is a multiple of d_j, a gamma contributes only if
 gamma == -mu_j b_j^* (mod d_j) for some mu_j, for every j: the support S is
 one CRT fold over the fibers with d_j > 1, lifted by lcm(d_j), and only the
 gamma in S are summed.  Z costs O(|S| n) terms and |S| sines, plus
-O(sum_j (a_j / d_j) min(a_j, r)) for the tables, plus one O(r) pass per
-(r, E) per process for the magnitude sum of sin^{-E} over every gamma, which
-depends on the level and the exponent E = n + a_eps g - 2 only and is cached.
+O(sum_j (a_j / d_j) min(a_j, r)) over the tables built, plus one O(r) pass
+per (r, E) per process for the magnitude sum of sin^{-E} over every gamma,
+which depends on the level and the exponent E = n + a_eps g - 2 only and is
+cached.
 At a level coprime to every a_j, S is all of 1..r-1 and the loop's own sines
 give that sum.  When a_j | r,
 as for every fiber of a double at r = k lcm(a_j), the table is the single
@@ -62,12 +76,14 @@ denominator of e unless unpaired fibers add Dedekind sums, the only case
 that builds a Fraction.  P3 is
 exp(i pi 3 (1 - a_eps) sign(e) / 4), and the powers in P2 have the
 half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
+When P2's denominator leaves the float range, RT is nan and rt_closed
+raises DomainError rather than return the 0 of a division by inf.
 
 Only the tables, the support, the sines, the loop, P1's phase and P2's
-power of r depend on the level.  Everything else (e, E, the b_j^*, the
-Dedekind sums and P1's exponent, P2's other factors, P3) is built once per
-closed symbol per process by _plan, a cache bounded at 256 symbols, so a
-symbol evaluated at many levels pays for it once.
+power of r depend on the level.  Everything else (e, E, the pairing, the
+b_j^*, the Dedekind sums and P1's exponent, P2's other factors, P3) is built
+once per closed symbol per process by _plan, a cache bounded at 256 symbols,
+so a symbol evaluated at many levels pays for it once.
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -80,7 +96,8 @@ This gives the closed form
               sin^{-(2n + 2 a_eps g - 2)}(pi (p A + gamma) / r),
 
 an exactly-zero value when the solution set B is empty, and a manifestly
-positive-or-negative real number otherwise.
+positive-or-negative real number otherwise.  It is the pair form above at
+r = kA, where each pair's |F|^2 is a_j^2 on the support and 0 off it.
 """
 
 from __future__ import annotations
@@ -195,37 +212,57 @@ def _scale_sum(r: int, exponent: int) -> float:
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Per level it costs the Gauss tables, O(|S| n) terms and |S| sines, where S
-    is the set of gamma at which every Gauss table can be nonzero (_support),
-    plus one O(r) pass per (r, E) per process for the magnitude sum
-    (_scale_sum); e, E and the b^* come from the symbol's _plan.
+    Per level it costs one Gauss table per mirrored pair and per unpaired
+    fiber, O(|S| n) terms and |S| sines, where S is the set of gamma at which
+    every Gauss table can be nonzero (_support), plus one O(r) pass per
+    (r, E) per process for the magnitude sum (_scale_sum); e, E, the pairs
+    and the b^* come from the symbol's _plan.
     """
     _require_level(r)
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
-    e_num, e_den, exponent, odd_sign, bstars, per_gamma = _plan(symbol)[:6]
-    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in bstars]
-    support = _support(bstars, r)
+    e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
+    pair_tables = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in pairs]
+    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in unpaired]
+    support = _support(pairs + unpaired, r)
     scales = _scales(support, r, exponent)
+    flip = len(pairs) % 2  # each pair contributes -|F|^2
 
     terms = []
     for gamma, scale in zip(support, scales):
-        term = -scale if gamma & odd_sign else scale
-        for a, bstar, table in fibers:
+        term = -scale if (gamma & odd_sign) ^ flip else scale
+        for a, bstar, table in pair_tables:
             plus = table.get((gamma + bstar) % a, 0)
             minus = table.get((gamma - bstar) % a, 0)
-            if not (plus or minus):
-                break  # the whole product vanishes
-            phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
-            term *= phase.conjugate() * plus - phase * minus
+            if plus and minus:
+                phase = _phase(gamma, a * r)
+                factor = phase.conjugate() * plus - phase * minus
+            else:
+                factor = plus or minus  # |F| = |H| when one entry is zero, so no phase is needed
+                if not factor:
+                    break  # the whole product vanishes
+            term *= factor.real * factor.real + factor.imag * factor.imag
         else:
-            terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den))
+            for a, bstar, table in fibers:
+                plus = table.get((gamma + bstar) % a, 0)
+                minus = table.get((gamma - bstar) % a, 0)
+                if not (plus or minus):
+                    break
+                phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
+                term *= phase.conjugate() * plus - phase * minus
+            else:
+                terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
 
     # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
     magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
+    if magnitude == math.inf:  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
+        value = magnitude
+    elif fibers or e_num:
+        value = _fsum_complex(terms)
+    else:  # every term is real, as on a double
+        value = complex(math.fsum(terms))
     return InvariantValue(
-        # magnitude bounds every |term|; past the float range fsum could meet inf - inf
-        value=_fsum_complex(terms) if magnitude < math.inf else magnitude,
+        value=value,
         r=r,
         method="direct",
         term_count=(r - 1) * per_gamma,
@@ -289,16 +326,19 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
 
 
-def _unpaired(fibers: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    """The fibers (a, b mod a) left once each is cancelled against one (a, -b mod a)."""
-    left: dict[tuple[int, int], int] = {}
-    for a, b in fibers:
-        mirror = (a, -b % a)
-        if left.get(mirror):
-            left[mirror] -= 1
+def _pair_off(fibers: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Cancel each fiber (a, b mod a) against one (a, -b mod a).
+
+    Returns one fiber of each mirrored pair, and the fibers left unpaired in symbol order.
+    """
+    pairs, waiting = [], {}  # (a, b mod a) -> indices of the fibers not yet paired
+    for i, (a, b) in enumerate(fibers):
+        mirrors = waiting.get((a, -b % a))
+        if mirrors:
+            pairs.append(fibers[mirrors.pop()])
         else:
-            left[a, b % a] = left.get((a, b % a), 0) + 1
-    return [fiber for fiber, count in left.items() for _ in range(count)]
+            waiting.setdefault((a, b % a), []).append(i)
+    return pairs, [fibers[i] for i in sorted(i for left in waiting.values() for i in left)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -313,18 +353,21 @@ def _plan(symbol: SeifertSymbol) -> tuple:
     sign_e = (euler.numerator > 0) - (euler.numerator < 0)
     # x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), over e's denominator while no Dedekind sum enters
     num, den = 3 * (a_eps - 1) * sign_e * euler.denominator - euler.numerator, euler.denominator
-    unpaired = _unpaired(fibers)  # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
+    pairs, unpaired = _pair_off(fibers)  # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
     if unpaired:
         x = Fraction(num, den) - 12 * sum(_dedekind(b, a) for a, b in unpaired)
         num, den = x.numerator, x.denominator
     prod_a = math.prod(a for a, _ in fibers)
     try:
         p2_den = 2.0 ** ((2 * n + a_eps * g - 2) / 2) * math.sqrt(prod_a)
-    except OverflowError:  # rt_closed's value is then nan, which its float-range check rejects
-        p2_den = math.nan
-    bstars = tuple((a, pow(b, -1, a)) for a, b in fibers)
-    p2_sign, p3 = (-1.0) ** (a_eps * g) * 1j**n, _phase(3 * (1 - a_eps) * sign_e, 4)
-    return (euler.numerator, euler.denominator, n + a_eps * g - 2, a_eps * g % 2, bstars, 2**n * prod_a,
+    except OverflowError:
+        p2_den = math.inf
+    # past the float range RT is then nan, which rt_closed's range check rejects; 1 / inf would be a silent 0
+    p2_den = p2_den if p2_den < math.inf else math.nan
+    pairs, unpaired = (tuple((a, pow(b, -1, a)) for a, b in part) for part in (pairs, unpaired))
+    # i^n from the table: past n = 100 the power 1j**n is taken through exp and log, and rounds
+    p2_sign, p3 = (-1.0) ** (a_eps * g) * _QUARTER_PHASES[n % 4], _phase(3 * (1 - a_eps) * sign_e, 4)
+    return (euler.numerator, euler.denominator, n + a_eps * g - 2, a_eps * g % 2, pairs, unpaired, 2**n * prod_a,
             num, den, p2_sign, (a_eps * g - 2) / 2, p2_den, p3)
 
 
@@ -336,7 +379,7 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     prefactor comes from the symbol's _plan.
     """
     z = z_direct(symbol, r)  # validates r and the symbol, and builds its plan
-    num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[6:]
+    num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[7:]
     prefactor = _phase(num, 2 * r * den) * (p2_sign * float(r) ** p2_power / p2_den) * p3
     return InvariantValue(
         value=prefactor * z.value,

@@ -1,22 +1,18 @@
 """Turaev-Viro invariants derived from the chiral invariant.
 
 For a closed symbol the TV invariant is the modulus squared of RT.  For a
-symbol with boundary it is computed on the orientation double: the double
-has Euler number zero, its invariant is real up to numerical noise, and the
-value is the real part of RT of the double.  A residual imaginary part
-exceeding 1e-9 relative to the real part indicates an inconsistency and is
-reported as such rather than silently discarded.
+symbol with boundary it is RT of the orientation double, which rt_closed
+computes exactly real (see rt: each mirrored pair of fibers contributes a
+real factor), so the value is its real part.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, NumericInconsistencyError, _in_float_range
+from .errors import DomainError, _in_float_range
 from .rt import InvariantValue, rt_closed
 from .symbols import SeifertSymbol, double
 
 __all__ = ["tv_closed", "tv_bounded"]
-
-_IMAG_TOLERANCE = 1e-9
 
 
 def _tv_from_rt(rt: InvariantValue) -> InvariantValue:
@@ -25,14 +21,8 @@ def _tv_from_rt(rt: InvariantValue) -> InvariantValue:
 
 
 def _tv_from_double_rt(rt: InvariantValue) -> InvariantValue:
-    """TV of a bounded symbol from the RT value of its double: the real part."""
-    real, imag = rt.value.real, rt.value.imag
-    if abs(imag) > _IMAG_TOLERANCE * (1.0 + abs(real)):
-        raise NumericInconsistencyError(
-            f"double's invariant should be real; got imaginary part {imag:.3e} "
-            f"against real part {real:.3e} at r={rt.r}"
-        )
-    return InvariantValue(real, rt.r, "tv-bounded", rt.term_count, rt.term_magnitude_sum, rt.warnings)
+    """TV of a bounded symbol from the RT value of its double, whose imaginary part is 0."""
+    return InvariantValue(rt.value.real, rt.r, "tv-bounded", rt.term_count, rt.term_magnitude_sum, rt.warnings)
 
 
 @_in_float_range

@@ -254,6 +254,23 @@ def test_value_beyond_float_range_exits_4(capsys, genus):
     assert "exceeds the float range" in err
 
 
+def test_prefactor_beyond_float_range_exits_4_not_zero(capsys):
+    # P2's denominator 2^1023 sqrt(4) overflows to inf; RT printed "re": -0.0 and exited 0
+    fibers = json.dumps([[1, 0]] * 522 + [[4, 1]])
+    symbol = f'{{"epsilon": "o", "genus": 501, "fibers": {fibers}, "boundary": false}}'
+    code, out, err = run(capsys, "rt", "--symbol", symbol, "--r", "3")
+    assert code == 4
+    assert out == ""
+    assert "exceeds the float range" in err
+
+
+def test_rt_of_a_double_prints_an_imaginary_part_of_zero(capsys):
+    double = '{"epsilon": "o", "genus": 2, "fibers": [[3, 1], [5, 1], [3, -1], [5, -1]], "boundary": false}'
+    code, out, _ = run(capsys, "rt", "--symbol", double, "--r", "15")
+    assert code == 0
+    assert json.loads(out)["value"]["im"] == 0.0
+
+
 def test_malformed_triangulation_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.tri"
     path.write_text("tet 0: - - -\n")

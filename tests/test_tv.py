@@ -37,7 +37,7 @@ def test_tv_bounded_is_real_part_of_double():
         got = tv_bounded(symbol, r)
         assert got.value == via_double.real
         assert got.value > 0
-        assert abs(via_double.imag) < 1e-9 * (1 + abs(via_double.real))
+        assert via_double.imag == 0.0
 
 
 def test_tv_bounded_requires_boundary():
