@@ -37,7 +37,11 @@ of the pair's two entries is nonzero, |F|^2 is that entry's squared modulus
 and phi is not computed; at r = k lcm(a_j) with every a_j odd and >= 3 this
 is the case at every gamma.  An orientation double pairs every fiber and has
 e = 0, so its Z is a sum of real terms of the sign (-1)^n built from n
-tables, not 2n, and its RT is exactly real.
+tables, not 2n, and its RT is exactly real.  Each such term vanishes only
+where a pair has both entries 0.  H_j(t) has modulus 0 or at least
+sqrt(a_j d) >= 1 (d as below), while a zero one rounds to a few a_j eps, so
+a pair's table keeps its nonzero entries only, and a double whose Z
+vanishes gets an exact 0 rather than a sum of terms of order eps^2.
 
 H_j is tabulated once per pair or unpaired fiber, for the t that occur.
 Let d = gcd(r, a_j), which is gcd(r b_j^*, a_j).  Writing
@@ -188,7 +192,7 @@ def _support(bstars: list[tuple[int, int]], r: int) -> Sequence[int]:
     Every key of the table of a fiber (a, b^*) is a multiple of d = gcd(r, a), so gamma
     survives only if gamma == -+b^* (mod d) for every fiber; fibers with d = 1 constrain nothing.
     """
-    # (d, c) and (d, -c mod d) allow the same residues, so a mirrored pair folds once
+    # fibers whose (d, +-b^* mod d) agree give one constraint
     constraints = list({(d, min(bstar % d, -bstar % d)) for a, bstar in bstars if (d := math.gcd(r, a)) > 1})
     if not constraints:
         return range(1, r)
@@ -222,7 +226,10 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
-    pair_tables = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in pairs]
+    # |H(t)| is 0 or at least 1 and a zero one rounds to a few a eps: a pair drops it, so its |F|^2 is 0, not eps^2
+    pair_tables = [
+        (a, bstar, {t: h for t, h in _gauss_table(a, bstar, r).items() if abs(h) >= 0.5}) for a, bstar in pairs
+    ]
     fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in unpaired]
     support = _support(pairs + unpaired, r)
     scales = _scales(support, r, exponent)
@@ -255,14 +262,9 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
     # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
     magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
-    if magnitude == math.inf:  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
-        value = magnitude
-    elif fibers or e_num:
-        value = _fsum_complex(terms)
-    else:  # every term is real, as on a double
-        value = complex(math.fsum(terms))
     return InvariantValue(
-        value=value,
+        # magnitude bounds every |term|; past the float range fsum could meet inf - inf
+        value=_fsum_complex(terms) if magnitude < math.inf else magnitude,
         r=r,
         method="direct",
         term_count=(r - 1) * per_gamma,

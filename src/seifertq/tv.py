@@ -2,8 +2,9 @@
 
 For a closed symbol the TV invariant is the modulus squared of RT.  For a
 symbol with boundary it is RT of the orientation double, which rt_closed
-computes exactly real (see rt: each mirrored pair of fibers contributes a
-real factor), so the value is its real part.
+computes exactly real, and exactly 0 where the double's sum vanishes (see
+rt: each mirrored pair of fibers contributes a real factor, exact where it
+is 0), so the value is its real part.
 """
 
 from __future__ import annotations

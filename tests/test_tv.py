@@ -8,6 +8,7 @@ from seifertq import (
     DomainError,
     SeifertSymbol,
     double,
+    ltv_scan,
     rt_closed,
     tv_bounded,
     tv_closed,
@@ -38,6 +39,19 @@ def test_tv_bounded_is_real_part_of_double():
         assert got.value == via_double.real
         assert got.value > 0
         assert via_double.imag == 0.0
+
+
+@pytest.mark.parametrize(
+    "fibers, r", [(((4, -5), (6, 1)), 49), (((12, -7), (2, 1)), 59), (((2, 3), (12, -1)), 55)]
+)
+def test_tv_bounded_is_an_exact_zero_where_the_double_s_sum_vanishes(fibers, r):
+    # a 60-digit evaluation of the Gauss-sum form gives |Z(D)| < 1e-94 on each; Gauss sums that vanish used to
+    # round to about 1e-16 and leave noise, e.g. TV 2.0e-08 against a term magnitude sum of 2.2e25 on the first
+    symbol = SeifertSymbol("o", 3, fibers, boundary=True)
+    assert rt_closed(double(symbol), r).value == 0
+    assert tv_bounded(symbol, r).value == 0.0
+    with pytest.raises(DomainError, match=f"^invariant vanishes at r={r}; LTV is undefined$"):
+        ltv_scan(symbol, [r, r + 2])
 
 
 def test_tv_bounded_requires_boundary():
