@@ -40,8 +40,9 @@ e = 0, so its Z is a sum of real terms of the sign (-1)^n built from n
 tables, not 2n, and its RT is exactly real.  Each such term vanishes only
 where a pair has both entries 0.  H_j(t) has modulus 0 or at least
 sqrt(a_j d) >= 1 (d as below), while a zero one rounds to a few a_j eps, so
-a pair's table keeps its nonzero entries only, and a double whose Z
-vanishes gets an exact 0 rather than a sum of terms of order eps^2.
+every table, a pair's or an unpaired fiber's, keeps its nonzero entries
+only, and a Z that vanishes is an exact 0 rather than a sum of terms of
+order eps (eps^2 on a double).
 
 H_j is tabulated once per pair or unpaired fiber, for the t that occur.
 Let d = gcd(r, a_j), which is gcd(r b_j^*, a_j).  Writing
@@ -226,11 +227,11 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     if symbol.has_boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
-    # |H(t)| is 0 or at least 1 and a zero one rounds to a few a eps: a pair drops it, so its |F|^2 is 0, not eps^2
-    pair_tables = [
-        (a, bstar, {t: h for t, h in _gauss_table(a, bstar, r).items() if abs(h) >= 0.5}) for a, bstar in pairs
-    ]
-    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in unpaired]
+    # |H(t)| is 0 or at least 1 and a zero one rounds to a few a eps: every table drops it, so a term is 0, not eps
+    pair_tables, fibers = (
+        [(a, bstar, {t: h for t, h in _gauss_table(a, bstar, r).items() if abs(h) >= 0.5}) for a, bstar in part]
+        for part in (pairs, unpaired)
+    )
     support = _support(pairs + unpaired, r)
     scales = _scales(support, r, exponent)
     flip = len(pairs) % 2  # each pair contributes -|F|^2

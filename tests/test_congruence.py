@@ -7,6 +7,8 @@ residue class modulo lcm(a_j) directly.
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -27,7 +29,7 @@ from seifertq import (
     system_modulus,
 )
 from seifertq import congruence
-from seifertq.congruence import _cotangent_sum, certificate_to_dict
+from seifertq.congruence import _sawtooth_sum, certificate_to_dict
 
 
 # -- oracles -------------------------------------------------------------------
@@ -59,16 +61,6 @@ def sawtooth_dedekind(b, a):
     )
 
 
-def cotangent_dedekind(b, a):
-    """Float s(b, a) via the cotangent sum, independent of the exact code path."""
-    if a == 1:
-        return 0.0
-    return math.fsum(
-        (1.0 / math.tan(math.pi * l / a)) * (1.0 / math.tan(math.pi * l * b / a))
-        for l in range(1, a)
-    ) / (4.0 * a)
-
-
 def full_cotangent_table(a):
     """cot(pi m / a) for m = 0..a-1 (0 at m = 0), each angle reduced into (0, pi/2]."""
 
@@ -82,10 +74,16 @@ def full_cotangent_table(a):
     return [0.0] + [cot_pi(m) for m in range(1, a)]
 
 
-def full_cotangent_sum(table, b, a):
-    """The cross-check's floats summed over every l = 1..a-1, without the mirror."""
+def cotangent_dedekind(b, a):
+    """Float s(b, a) and sum_l |term_l| / 4a via the cotangent sum, independent of the exact code path."""
+    table = full_cotangent_table(a)
     terms = [table[l] * table[l * b % a] for l in range(1, a)]
     return math.fsum(terms) / (4.0 * a), math.fsum(map(abs, terms)) / (4.0 * a)
+
+
+def full_sawtooth_sum(b, a):
+    """4 a^2 s(b, a) in integers, summed over every l = 1..a-1, without the mirror."""
+    return sum((2 * l - a) * (2 * (l * b % a) - a) for l in range(1, a))
 
 
 def coprime_pairs(max_a):
@@ -157,13 +155,12 @@ def test_dedekind_reciprocity():
                 assert lhs == rhs, (a, b)
 
 
-def test_dedekind_matches_cotangent_oracle():
-    for a in (5, 7, 9, 31):
-        for b in range(1, a):
-            if math.gcd(a, b) == 1:
-                assert float(dedekind_sum(b, a)) == pytest.approx(
-                    cotangent_dedekind(b, a), abs=1e-11
-                )
+@given(a=st.integers(1, 300), b=st.integers(-600, 600))
+def test_dedekind_matches_cotangent_oracle(a, b):
+    # the documented cotangent convention, within the float tolerance the runtime check once used
+    assume(math.gcd(a, b) == 1)
+    cot, magnitude = cotangent_dedekind(b, a)
+    assert abs(float(dedekind_sum(b, a)) - cot) <= 16 * sys.float_info.epsilon * magnitude
 
 
 @pytest.mark.parametrize(
@@ -204,19 +201,29 @@ def test_dedekind_mirror_edges_match_sawtooth_oracle():
         assert dedekind_sum(b, a) == sawtooth_dedekind(b, a), (b, a)
 
 
-def test_half_cotangent_sum_equals_full_sum():
-    # twice a correctly rounded half sum is the correctly rounded full sum, bit for bit
-    tables = {a: full_cotangent_table(a) for a in range(1, 151)}
+def test_half_sawtooth_sum_equals_full_sum():
+    # the terms at l and a - l agree and the one at l = a/2 is 0, so the doubled half sum is the full sum exactly
     for b, a in coprime_pairs(150):
-        assert _cotangent_sum(b, a) == full_cotangent_sum(tables[a], b, a), (b, a)
+        assert _sawtooth_sum(b, a) == full_sawtooth_sum(b, a), (b, a)
 
 
 def test_dedekind_cross_check_is_live(monkeypatch):
-    tan = math.tan
-    monkeypatch.setattr(congruence.math, "tan", lambda x: tan(x) * (1 + 1e-9))
+    sawtooth = congruence._sawtooth_sum
+    monkeypatch.setattr(congruence, "_sawtooth_sum", lambda b, a: sawtooth(b, a) + 1)
     for b, a in [(1, 3), (5, 12)]:
         with pytest.raises(NumericInconsistencyError):
             dedekind_sum(b, a)
+
+
+def test_dedekind_check_runs_in_constant_memory():
+    dedekind_sum(1, 7)  # import and warm up outside the trace
+    tracemalloc.start()
+    try:
+        dedekind_sum(1, 100_003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dedekind_rejects_bad_input():

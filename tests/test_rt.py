@@ -222,7 +222,11 @@ def test_z_direct_equals_full_loop(case):
     _scale_sum.cache_clear()
     cold, warm, want = z_direct(symbol, r), z_direct(symbol, r), full_loop_z(symbol, r)
     assert _fields(cold) == _fields(warm)
-    if _pair_off(symbol.fibers)[0]:
+    # z_direct drops the Gauss sums that vanish and round to a few a eps; the full loop keeps them
+    dropped = any(
+        abs(h) < 0.5 for a, b in symbol.fibers for h in _gauss_table(a, pow(b, -1, a), r).values()
+    )
+    if _pair_off(symbol.fibers)[0] or dropped:
         # a mirrored pair takes the real -|F|^2 for its two complex factors: the same terms, rounded otherwise
         assert _fields(cold)[1:] == _fields(want)[1:]
         assert abs(cold.value - want.value) <= 4 * sys.float_info.epsilon * want.term_magnitude_sum

@@ -13,6 +13,7 @@ from seifertq import (
     tv_bounded,
     tv_closed,
     verlinde_dimension,
+    z_direct,
 )
 
 
@@ -50,6 +51,22 @@ def test_tv_bounded_is_an_exact_zero_where_the_double_s_sum_vanishes(fibers, r):
     symbol = SeifertSymbol("o", 3, fibers, boundary=True)
     assert rt_closed(double(symbol), r).value == 0
     assert tv_bounded(symbol, r).value == 0.0
+    with pytest.raises(DomainError, match=f"^invariant vanishes at r={r}; LTV is undefined$"):
+        ltv_scan(symbol, [r, r + 2])
+
+
+@pytest.mark.parametrize(
+    "symbol, r",
+    [
+        (SeifertSymbol("o", 3, ((12, 11), (14, -1), (2, -1), (4, -5))), 25),
+        (SeifertSymbol("n", 3, ((8, -5), (2, -1), (12, -23), (14, -15))), 3),
+    ],
+)
+def test_tv_closed_is_an_exact_zero_where_z_vanishes(symbol, r):
+    # no fiber has a mirror, and at every gamma some fiber's two Gauss sums are 0 (to 60 digits), so Z = 0;
+    # the unpaired fibers' tables used to keep those sums as about 1e-16 and leave |Z| = 1.0e-22 and 4.2e-29
+    assert z_direct(symbol, r).value == 0j
+    assert tv_closed(symbol, r).value == 0.0
     with pytest.raises(DomainError, match=f"^invariant vanishes at r={r}; LTV is undefined$"):
         ltv_scan(symbol, [r, r + 2])
 
