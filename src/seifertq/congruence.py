@@ -11,20 +11,25 @@ Reshetikhin-Turaev sum of the doubled symbol that survive total cancellation,
 so the solvability of this system is exactly what a growth certificate
 records.
 
-The solutions come from one Chinese-remainder fold over the fibers that
-keeps every surviving pair (gamma mod M, sign prefix), M the lcm so far.
-With g = gcd(M, a_j), merging in fiber j needs the inverse of M/g modulo
-a_j/g, which does not depend on the signs, so the fold inverts once per
-fiber, drops a prefix as soon as it is incompatible, and costs in proportion
-to the surviving partial solutions, at most 2^n.
-
-One rule, ``_fiber``, checks every fiber (integers a >= 1 and b with
-gcd(a, b) = 1) for SeifertSymbol, the functions below and dedekind_sum,
-but not for ``_dedekind``, which RT calls on a symbol's checked fibers.
-
 The solution set is closed under the involution (gamma, mu) ->
 (A - gamma, -mu); fibers with a_j = 1 impose no constraint and contribute a
 free sign, doubling the solution count per unit fiber.
+
+The solutions come from one Chinese-remainder fold over the fibers that
+keeps every surviving pair (gamma mod M, sign prefix), M the lcm so far,
+the prefix an integer whose bits are the signs taken.  With
+g = gcd(M, a_j), merging in fiber j needs the inverse of M/g modulo a_j/g,
+which does not depend on the signs, so the fold inverts once per fiber,
+drops a prefix as soon as it is incompatible, and costs in proportion to
+the surviving partial solutions.  The involution flips mu_1, so the fold
+holds mu_1 = +1, which leaves at most 2^(n-1) prefixes, and each solution
+it finds brings its mirror (A - gamma, -mu).
+
+One rule, ``_fiber``, checks every fiber (integers a >= 1 and b with
+gcd(a, b) = 1) for SeifertSymbol, the functions below and dedekind_sum.
+A symbol's fibers are checked once, when it is built, so ``_certificate``
+and ``_dedekind``, which the symbol-taking evaluators call on them, check
+none.
 
 Dedekind sums follow the convention
 
@@ -50,6 +55,7 @@ steps and O(1) memory, about 0.1 s at a = 10^6.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
@@ -88,7 +94,7 @@ def mod_inverse(b: int, a: int) -> int:
 
 def _fiber(a: int, b: int) -> None:
     """The fiber rule: a and b are integers (not bools), a >= 1 and gcd(a, b) = 1."""
-    if not (_is_int(a) and _is_int(b) and a >= 1 and math.gcd(a, b) == 1):
+    if not ((type(a) is type(b) is int or _is_int(a) and _is_int(b)) and a >= 1 and math.gcd(a, b) == 1):
         raise DomainError(f"(a, b) = ({a!r}, {b!r}): need integers a >= 1 and b with gcd(a, b) = 1")
 
 
@@ -144,37 +150,46 @@ def _dedekind(b: int, a: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _fiber_constraints(fibers: Iterable[Fiber]) -> list[tuple[int, int]]:
-    """(modulus, b*) per fiber, after _fibers has checked them."""
-    return [(a, pow(b, -1, a)) for a, b in _fibers(fibers)]
-
-
 def system_modulus(fibers: Iterable[Fiber]) -> int:
     """A = lcm of the fiber multiplicities (1 for an empty list)."""
     return math.lcm(*(a for a, _ in _fibers(fibers)))
 
 
-def _crt_fold(constraints: Sequence[Fiber], signs: Sequence[Sequence[int]]) -> tuple[list, int]:
-    """Solutions (gamma mod M, mu) with mu_j in signs[j], and M = lcm(a_j) if any survive."""
-    partial, modulus = [(0, ())], 1
-    for (a, bstar), allowed in zip(constraints, signs):
+def _crt_fold(constraints: Sequence[Fiber], fixed: int = 1) -> tuple[list[tuple[int, int]], int]:
+    """Solutions (gamma mod M, mask) of gamma + mu_j b_j* == 0 (mod a_j), and M = lcm(a_j) if any survive.
+
+    The first ``fixed`` fibers take mu_j = +1 only, the others both signs; the mask has one
+    bit per fiber, the first fiber's the highest, set where mu_j = +1.
+    """
+    partial, modulus = [(0, 0)], 1
+    for j, (a, bstar) in enumerate(constraints):
         g = math.gcd(modulus, a)
         reduced = a // g
         lift_inverse = pow(modulus // g % reduced, -1, reduced)  # M/g and a/g are coprime
+        plus, both = -bstar % a, j >= fixed  # gamma == -b* (mod a) for mu = +1 and b* for mu = -1
         merged = []
-        for residue, prefix in partial:
-            for m in allowed:
-                gap = (-m * bstar) % a - residue
+        for residue, mask in partial:
+            mask <<= 1
+            gap = plus - residue
+            if gap % g == 0:
+                merged.append((residue + modulus * (gap // g * lift_inverse % reduced), mask | 1))
+            if both:
+                gap = bstar - residue
                 if gap % g == 0:
-                    lift = gap // g * lift_inverse % reduced
-                    merged.append((residue + modulus * lift, prefix + (m,)))
+                    merged.append((residue + modulus * (gap // g * lift_inverse % reduced), mask))
         partial, modulus = merged, modulus * reduced
         if not partial:
             break
     return partial, modulus
 
 
-def solve_system(fibers: Sequence[Fiber], mu: Sequence[int]) -> Optional[tuple[int, int]]:
+@functools.lru_cache(maxsize=1024)
+def _mu(mask: int, n: int) -> tuple[int, ...]:
+    """The sign vector of an n-fiber mask of _crt_fold, built once per (mask, n) per process."""
+    return tuple(1 if mask >> k & 1 else -1 for k in reversed(range(n)))
+
+
+def solve_system(fibers: Iterable[Fiber], mu: Iterable[int]) -> Optional[tuple[int, int]]:
     """Solve gamma + mu_j b_j* == 0 (mod a_j) for all j by the CRT fold.
 
     Returns (gamma, A) with gamma the least non-negative solution modulo
@@ -183,11 +198,14 @@ def solve_system(fibers: Sequence[Fiber], mu: Sequence[int]) -> Optional[tuple[i
     mu_s b_s* == mu_t b_t* (mod gcd(a_s, a_t)); the fold, here with one
     allowed sign per fiber, realizes exactly that criterion.
     """
-    if len(mu) != len(fibers):
-        raise DomainError(f"sign vector length {len(mu)} != fiber count {len(fibers)}")
+    pairs, mu = _fibers(fibers), tuple(mu)
+    if len(mu) != len(pairs):
+        raise DomainError(f"sign vector length {len(mu)} != fiber count {len(pairs)}")
     if any(m not in (1, -1) for m in mu):
-        raise DomainError(f"sign vector entries must be +-1, got {tuple(mu)}")
-    solutions, modulus = _crt_fold(_fiber_constraints(fibers), [(m,) for m in mu])
+        raise DomainError(f"sign vector entries must be +-1, got {mu}")
+    # one sign per fiber: the fold's congruence for mu_j = +1, with mu_j b_j* in place of b_j*
+    constraints = [(a, m * pow(b, -1, a)) for (a, b), m in zip(pairs, mu)]
+    solutions, modulus = _crt_fold(constraints, fixed=len(constraints))
     return (solutions[0][0], modulus) if solutions else None
 
 
@@ -212,25 +230,33 @@ class CongruenceCertificate(NamedTuple):
         return len(self.set_b)
 
 
-def enumerate_solutions(fibers: Sequence[Fiber]) -> Optional[CongruenceCertificate]:
+def enumerate_solutions(fibers: Iterable[Fiber]) -> Optional[CongruenceCertificate]:
     """All solutions of the congruence system, or None when there are none.
 
-    One CRT fold over the fibers tries both signs of each against every
-    surviving partial solution, so each b_j* and each lift inverse is
-    computed once and the cost follows the surviving prefixes (at most 2^n).
-    A symbol with no fiber of multiplicity >= 2 yields a degenerate
-    certificate: A = 1 (or every congruence vacuous), an empty solution set,
-    and gamma = 0 as a placeholder.
+    One CRT fold over the fibers holds mu_1 = +1 and tries both signs of
+    every other fiber against each surviving partial solution, so each b_j*
+    and each lift inverse is computed once and the cost follows the
+    surviving prefixes (at most 2^(n-1)); each solution found brings its
+    mirror (A - gamma, -mu).  A symbol with no fiber of multiplicity >= 2
+    yields a degenerate certificate: A = 1 (or every congruence vacuous), an
+    empty solution set, and gamma = 0 as a placeholder.
     """
-    constraints = _fiber_constraints(fibers)
-    n = len(constraints)
-    if all(a == 1 for a, _ in constraints):
+    return _certificate(_fibers(fibers))
+
+
+def _certificate(pairs: Sequence[Fiber]) -> Optional[CongruenceCertificate]:
+    """enumerate_solutions of fibers that _fiber has already checked."""
+    n = len(pairs)
+    if all(a == 1 for a, _ in pairs):
         return CongruenceCertificate(gamma=0, mu=(1,) * n, modulus=1, set_b=(), degenerate=True)
-    # gamma = 0 would need b_j* == 0 (mod a_j), that is a_j = 1, for every j
-    solutions, modulus = _crt_fold(constraints, [(1, -1)] * n)
-    solutions.sort()
-    if not solutions:
+    half, modulus = _crt_fold([(a, pow(b, -1, a)) for a, b in pairs])
+    if not half:
         return None
+    # gamma = 0 would need b_j* == 0 (mod a_j), that is a_j = 1, for every j, so A - gamma is in 1..A-1
+    full, solutions = (1 << n) - 1, []
+    for gamma, mask in half:
+        solutions += ((gamma, _mu(mask, n)), (modulus - gamma, _mu(mask ^ full, n)))
+    solutions.sort()
     gamma, mu = solutions[0]
     return CongruenceCertificate(gamma=gamma, mu=mu, modulus=modulus, set_b=tuple(solutions))
 
@@ -252,10 +278,11 @@ class SystemClassification(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def classify_system(fibers: Sequence[Fiber]) -> SystemClassification:
+def classify_system(fibers: Iterable[Fiber]) -> SystemClassification:
     """Classify the congruence system attached to a fiber list."""
-    certificate = enumerate_solutions(fibers)  # validates the fibers
-    moduli = [a for a, _ in fibers]
+    pairs = _fibers(fibers)  # read once: an iterator gives its fibers to the fold and the moduli alike
+    certificate = _certificate(pairs)
+    moduli = [a for a, _ in pairs]
 
     warnings = []
     if certificate is not None and certificate.modulus % 2 == 0:

@@ -87,7 +87,8 @@ def _in_float_range(evaluate):
 
 
 def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An int or an int subclass other than bool; exact ints take the first test."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require_level(r: int) -> None:

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DegenerateSystemError, DomainError, _in_float_range
 from .rt import _double_setup, rt_closed
-from .symbols import SeifertSymbol, double
+from .symbols import SeifertSymbol, _require_symbol, double
 from .tv import _tv_from_double_rt, _tv_from_rt, tv_closed
 
 __all__ = ["LowerBound", "lower_bound", "LemmaCheck", "verify_lemma", "LtvSample", "ltv_scan"]
@@ -42,7 +42,7 @@ class LowerBound(NamedTuple):
 @_in_float_range
 def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
     """Growth lower bound for a bounded symbol at an admissible level r = k A."""
-    A, k, certificate = _double_setup(symbol, r)
+    A, k, certificate = _double_setup(symbol, r)  # checks that symbol is a SeifertSymbol
     if certificate is None:
         raise DegenerateSystemError(
             "the congruence system has no solutions (B is empty), so the "
@@ -110,10 +110,11 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
     The slope estimates the polynomial growth exponent of the invariant; a
     finite exponent is what forces LTV to 0 along the sampled sequence.
     """
+    _require_symbol(symbol)
     levels = list(levels)  # read once: an iterator gives its levels to the loop and the slope alike
     if not levels:
         raise DomainError("ltv_scan needs at least one level")
-    doubled = double(symbol) if symbol.has_boundary else None  # built once for every level
+    doubled = double(symbol) if symbol.boundary else None  # built once for every level
     samples = []
     for r in levels:
         inv = tv_closed(symbol, r) if doubled is None else _tv_from_double_rt(rt_closed(doubled, r))

@@ -114,9 +114,9 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .congruence import CongruenceCertificate, _crt_fold, _dedekind, enumerate_solutions
+from .congruence import CongruenceCertificate, _certificate, _crt_fold, _dedekind
 from .errors import DomainError, _in_float_range, _is_int, _require_level
-from .symbols import SeifertSymbol, euler_number
+from .symbols import SeifertSymbol, _require_symbol, euler_number
 
 __all__ = [
     "InvariantValue",
@@ -197,9 +197,12 @@ def _support(bstars: list[tuple[int, int]], r: int) -> Sequence[int]:
     constraints = list({(d, min(bstar % d, -bstar % d)) for a, bstar in bstars if (d := math.gcd(r, a)) > 1})
     if not constraints:
         return range(1, r)
-    solutions, modulus = _crt_fold(constraints, [(1, -1)] * len(constraints))
+    half, modulus = _crt_fold(constraints)
+    # the fold holds the first sign at +1, and the mirror -gamma of each residue brings the other;
     # a set, so that each gamma comes once however many sign vectors reach it; no residue is 0 mod d > 1
-    return [gamma for residue in {t for t, _ in solutions} for gamma in range(residue, r, modulus)]
+    residues = {t for t, _ in half}
+    residues.update([modulus - t for t in residues])
+    return [gamma for residue in residues for gamma in range(residue, r, modulus)]
 
 
 def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
@@ -223,8 +226,9 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     (r, E) per process for the magnitude sum (_scale_sum); e, E, the pairs
     and the b^* come from the symbol's _plan.
     """
+    _require_symbol(symbol)
     _require_level(r)
-    if symbol.has_boundary:
+    if symbol.boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
     # |H(t)| is 0 or at least 1 and a zero one rounds to a few a eps: every table drops it, so a term is 0, not eps
@@ -278,8 +282,9 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCe
 
     Returns (A, k, certificate) with r = k A; certificate is None when B is empty.
     """
+    _require_symbol(symbol)
     _require_level(r)
-    if not symbol.has_boundary:
+    if not symbol.boundary:
         raise DomainError("the simplified form and the lower bound apply to symbols with boundary")
     if not symbol.fibers or any(a < 2 for a, _ in symbol.fibers):
         raise DomainError(
@@ -289,7 +294,7 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCe
     A = math.lcm(*(a for a, _ in symbol.fibers))
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
-    return A, r // A, enumerate_solutions(symbol.fibers)
+    return A, r // A, _certificate(symbol.fibers)  # SeifertSymbol has checked every fiber
 
 
 @_in_float_range
@@ -381,7 +386,7 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     Costs one z_direct, then P1's phase and P2's power of r; the rest of the
     prefactor comes from the symbol's _plan.
     """
-    z = z_direct(symbol, r)  # validates r and the symbol, and builds its plan
+    z = z_direct(symbol, r)  # checks that symbol is a closed SeifertSymbol and r a level, and builds its plan
     num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[7:]
     prefactor = _phase(num, 2 * r * den) * (p2_sign * float(r) ** p2_power / p2_den) * p3
     return InvariantValue(

@@ -68,6 +68,10 @@ class _SymbolFields(NamedTuple):
 class SeifertSymbol(_SymbolFields):
     """An unnormalized Seifert symbol, an immutable named tuple checked on construction.
 
+    Every public function that takes a symbol raises DomainError for any
+    other argument (_require_symbol) and checks none of its fields again;
+    the symbols it derives are built from fields already checked (_derived).
+
     Attributes:
         epsilon: 'o' (orientable base) or 'n' (non-orientable base).
         genus: genus of the base surface, > 0.
@@ -109,8 +113,24 @@ class SeifertSymbol(_SymbolFields):
         return f"({self.epsilon}, {self.genus}; [{fib}]{tail})"
 
 
+def _require_symbol(symbol: object) -> None:
+    """DomainError unless symbol is a SeifertSymbol, whose fields its constructor has checked."""
+    if not isinstance(symbol, SeifertSymbol):
+        raise DomainError(f"expected a SeifertSymbol, got {type(symbol).__name__}")
+
+
+def _derived(epsilon: str, genus: int, fibers: tuple[tuple[int, int], ...], boundary: bool) -> SeifertSymbol:
+    """A SeifertSymbol of fields derived from a checked symbol's, which therefore checks none.
+
+    The derivations below keep each field valid: genus stays positive, and
+    gcd(a, -b) = gcd(a, b + k a) = gcd(a, b) = 1 for every fiber they make.
+    """
+    return tuple.__new__(SeifertSymbol, (epsilon, genus, fibers, boundary))
+
+
 def euler_number(symbol: SeifertSymbol) -> Fraction:
     """Rational Euler number e(M) = -sum(b_j / a_j), exact, as one fraction over lcm(a_j)."""
+    _require_symbol(symbol)
     common = math.lcm(*(a for a, _ in symbol.fibers))
     return Fraction(-sum(b * (common // a) for a, b in symbol.fibers), common)
 
@@ -122,6 +142,7 @@ def orbifold_euler_characteristic(symbol: SeifertSymbol) -> Fraction:
     a_eps = 2 for an orientable base of genus g and 1 for a non-orientable
     one with g cross-caps, the convention of P2 in rt.py.
     """
+    _require_symbol(symbol)
     base = 2 - symbol.a_eps * symbol.genus - symbol.boundary
     return base - sum((1 - Fraction(1, a) for a, _ in symbol.fibers), start=Fraction(0))
 
@@ -132,15 +153,17 @@ def double(symbol: SeifertSymbol) -> SeifertSymbol:
     Doubles the base genus and adjoins the orientation-reversed fibers; the
     result is closed and has Euler number 0.
     """
-    if not symbol.has_boundary:
+    _require_symbol(symbol)
+    if not symbol.boundary:
         raise DomainError("double() requires a symbol with boundary")
-    mirrored = tuple((a, -b) for a, b in symbol.fibers)
-    return SeifertSymbol(symbol.epsilon, 2 * symbol.genus, symbol.fibers + mirrored, boundary=False)
+    fibers = symbol.fibers
+    return _derived(symbol.epsilon, 2 * symbol.genus, fibers + tuple([(a, -b) for a, b in fibers]), False)
 
 
 def reverse_orientation(symbol: SeifertSymbol) -> SeifertSymbol:
     """The same fibration with reversed orientation: every b_j is negated."""
-    return SeifertSymbol(symbol.epsilon, symbol.genus, ((a, -b) for a, b in symbol.fibers), symbol.boundary)
+    _require_symbol(symbol)
+    return _derived(symbol.epsilon, symbol.genus, tuple([(a, -b) for a, b in symbol.fibers]), symbol.boundary)
 
 
 def normalize(symbol: SeifertSymbol) -> SeifertSymbol:
@@ -153,20 +176,22 @@ def normalize(symbol: SeifertSymbol) -> SeifertSymbol:
     the unit fibers merge into one (1, sum b_j)).  Idempotent, and
     equivalent symbols share one canonical form.
     """
+    _require_symbol(symbol)
     fibers = symbol.fibers
-    if symbol.has_boundary:
+    if symbol.boundary:
         carrier, shift = None, 0
     else:
         carrier = max((j for j, (a, _) in enumerate(fibers) if a >= 2), default=0)
         # the carrier takes the sum of the other shifts, so the shifts sum to zero
         shift = sum(b // a for j, (a, b) in enumerate(fibers) if j != carrier)
     reduced = [(a, b + shift * a if j == carrier else b % a) for j, (a, b) in enumerate(fibers)]
-    return SeifertSymbol(symbol.epsilon, symbol.genus, [f for f in reduced if f != (1, 0)], symbol.boundary)
+    return _derived(symbol.epsilon, symbol.genus, tuple([f for f in reduced if f != (1, 0)]), symbol.boundary)
 
 
 # -- serialization ------------------------------------------------------------
 
 def symbol_to_dict(symbol: SeifertSymbol) -> dict[str, Any]:
+    _require_symbol(symbol)
     return {
         "epsilon": symbol.epsilon,
         "genus": symbol.genus,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DomainError, _in_float_range
 from .rt import InvariantValue, rt_closed
-from .symbols import SeifertSymbol, double
+from .symbols import SeifertSymbol, _require_symbol, double
 
 __all__ = ["tv_closed", "tv_bounded"]
 
@@ -34,6 +34,7 @@ def tv_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
 def tv_bounded(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT of the orientation double of a bounded symbol; real, and in float range once rt_closed is."""
-    if not symbol.has_boundary:
+    _require_symbol(symbol)
+    if not symbol.boundary:
         raise DomainError("tv_bounded expects a symbol with boundary; use tv_closed")
     return _tv_from_double_rt(rt_closed(double(symbol), r))

@@ -456,6 +456,22 @@ def test_classify_pairwise_coprime_property(fibers):
     assert (classify_system(fibers).case == "pairwise-coprime") == coprime
 
 
+def test_iterator_examples_read_once():
+    # an iterator of fibers used to be read twice, so the moduli read after the fold were empty
+    assert classify_system(iter([(3, 1), (3, 1)])).case == "equal-moduli"
+    assert classify_system(f for f in ((4, 1), (6, 1))).case == "pairwise-gcd"
+    assert solve_system((f for f in ((3, 1), (5, 1))), iter((1, -1))) == solve_system(((3, 1), (5, 1)), (1, -1))
+
+
+@given(data=st.data())
+def test_iterator_and_list_give_the_same_result_property(data):
+    fibers = data.draw(fiber_lists())
+    mu = data.draw(st.tuples(*(st.sampled_from((1, -1)) for _ in fibers)))
+    assert classify_system(iter(fibers)) == classify_system(list(fibers))
+    assert enumerate_solutions(iter(fibers)) == enumerate_solutions(list(fibers))
+    assert solve_system(iter(fibers), iter(mu)) == solve_system(list(fibers), list(mu))
+
+
 def test_certificate_serialization():
     cert = enumerate_solutions(((3, 1), (5, 1)))
     data = certificate_to_dict(cert)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import seifertq.congruence
+import seifertq.growth
 import seifertq.rt
 from seifertq import (
     DegenerateSystemError,
@@ -95,18 +96,23 @@ def test_lemma_evaluates_rt_once(monkeypatch):
 
 
 def test_ltv_scan_builds_one_double(monkeypatch):
-    doubled = double(ANCHOR)
-    fiber, checked = seifertq.congruence._fiber, []
+    fiber, checked, doubles = seifertq.congruence._fiber, [], []
 
     def counting(a, b):
         checked.append((a, b))
         return fiber(a, b)
 
+    def counting_double(symbol):
+        doubles.append(symbol)
+        return double(symbol)
+
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
+    monkeypatch.setattr(seifertq.growth, "double", counting_double)
     seifertq.rt._plan.cache_clear()
     samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
-    # the 2n fibers of D(M), checked once as double builds it, not once per level
-    assert checked == list(doubled.fibers)
+    # one double for every level, built from ANCHOR's checked fibers, so no fiber is checked again
+    assert doubles == [ANCHOR]
+    assert checked == []
     monkeypatch.undo()
     assert [s.tv_value for s in samples] == [tv_bounded(ANCHOR, r).value for r in (15, 45, 75)]
 

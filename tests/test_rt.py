@@ -275,6 +275,24 @@ def test_z_direct_visits_each_gamma_once_at_a_coprime_level(monkeypatch):
     assert {num: count for (num, den), count in phases.items() if den == 11 * r} == dict.fromkeys(range(1, r), 1)
 
 
+def _coprime_fiber(a):
+    return st.tuples(st.just(a), st.sampled_from([b for b in range(a) if math.gcd(a, b) == 1]))
+
+
+@given(fibers=st.lists(st.integers(1, 15).flatmap(_coprime_fiber), max_size=5), r=st.sampled_from(range(3, 60, 2)))
+def test_support_matches_brute_force_property(fibers, r):
+    bstars = [(a, pow(b, -1, a)) for a, b in fibers]
+    support = list(seifertq.rt._support(bstars, r))
+    # gamma survives when, for every fiber, gamma + b* or gamma - b* is a multiple of d = gcd(r, a)
+    brute = {
+        gamma
+        for gamma in range(1, r)
+        if all((gamma + bstar) % math.gcd(r, a) == 0 or (gamma - bstar) % math.gcd(r, a) == 0 for a, bstar in bstars)
+    }
+    assert len(support) == len(set(support))
+    assert set(support) == brute
+
+
 # -- the level sum of sin^{-E} ------------------------------------------------------
 
 
@@ -630,16 +648,18 @@ def test_simplified_preconditions():
 
 @pytest.mark.parametrize("evaluate", [z_double_simplified, lower_bound])
 def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
-    original = seifertq.congruence._fiber_constraints
-    calls = []
+    original, fiber = seifertq.congruence._crt_fold, seifertq.congruence._fiber
+    folds, checked = [], []
 
-    def counting(fibers):
-        calls.append(fibers)
-        return original(fibers)
+    def counting(constraints, *args):
+        folds.append(constraints)
+        return original(constraints, *args)
 
-    monkeypatch.setattr(seifertq.congruence, "_fiber_constraints", counting)
+    monkeypatch.setattr(seifertq.congruence, "_crt_fold", counting)
+    monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
     evaluate(ANCHOR_SYMBOL, 15)
-    assert len(calls) == 1
+    assert folds == [[(3, 1), (5, 1)]]  # one fold over the (a, b*) of the symbol's fibers, none checked again
+    assert checked == []
 
 
 def test_rt_path_checks_each_fiber_once(monkeypatch):
@@ -654,8 +674,7 @@ def test_rt_path_checks_each_fiber_once(monkeypatch):
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
     _plan.cache_clear()
     tv_bounded(ANCHOR_SYMBOL, 15)
-    assert checked == list(closed.fibers)  # the 2n fibers of D(M), once each, as double builds it
-    checked.clear()
+    assert checked == []  # SeifertSymbol checked the n fibers of M; double derives D(M) from them unchecked
     rt_closed(closed, 15)
     assert checked == []
     rt_closed(unpaired, 7)

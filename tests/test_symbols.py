@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import seifertq
+import seifertq.congruence
 from seifertq import (
     DomainError,
     MalformedInputError,
@@ -214,6 +217,17 @@ def test_normalize_idempotent_property(symbol):
     assert normalize(canonical) == canonical
 
 
+@given(symbol=symbols())
+def test_derived_symbols_pass_the_constructor_property(symbol):
+    # double, normalize and reverse_orientation build their results unchecked; the constructor must agree
+    derived = [normalize(symbol), reverse_orientation(symbol)] + ([double(symbol)] if symbol.boundary else [])
+    for result in derived:
+        assert type(result) is SeifertSymbol
+        rebuilt = SeifertSymbol(*result)
+        assert result == rebuilt
+        assert result.fibers == rebuilt.fibers and all(type(f) is tuple for f in result.fibers)
+
+
 def test_normalize_bounded_shifts_are_unconstrained():
     s = SeifertSymbol("n", 2, ((3, 7), (5, -4), (1, 2)), boundary=True)
     n = normalize(s)
@@ -258,3 +272,50 @@ def test_malformed_symbol_json_rejected(data):
 def test_semantically_bad_symbol_is_domain_error():
     with pytest.raises(DomainError):
         symbol_from_json('{"epsilon": "q", "genus": 1, "fibers": [], "boundary": false}')
+
+
+def test_symbol_from_json_checks_each_fiber_once(monkeypatch):
+    fiber, checked = seifertq.congruence._fiber, []
+    monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
+    symbol = symbol_from_json('{"epsilon": "o", "genus": 1, "fibers": [[3, 1], [5, -2]], "boundary": true}')
+    assert checked == [(3, 1), (5, -2)]
+    checked.clear()
+    for derive in (double, normalize, reverse_orientation):
+        derive(symbol)
+    assert checked == []
+
+
+# -- the symbol guard -------------------------------------------------------------
+
+
+def _symbol_functions():
+    """Every public function of the package whose first parameter is a symbol."""
+    return sorted(
+        name
+        for name in seifertq.__all__
+        if inspect.isfunction(getattr(seifertq, name))
+        and next(iter(inspect.signature(getattr(seifertq, name)).parameters), None) == "symbol"
+    )
+
+
+def test_symbol_functions_are_the_documented_ones():
+    assert _symbol_functions() == sorted([
+        "double", "euler_number", "lower_bound", "ltv_scan", "normalize", "orbifold_euler_characteristic",
+        "reverse_orientation", "rt_closed", "symbol_to_dict", "symbol_to_json", "tv_bounded", "tv_closed",
+        "verify_lemma", "z_direct", "z_double_simplified",
+    ])
+
+
+@pytest.mark.parametrize("name", _symbol_functions())
+@pytest.mark.parametrize(
+    "not_a_symbol",
+    [("o", 1, ((3, 1),), True), "(o, 1; [(3,1)]; boundary)", None, {"epsilon": "o", "genus": 1}],
+    ids=["tuple", "str", "none", "dict"],
+)
+def test_non_symbols_are_domain_errors(name, not_a_symbol):
+    fn = getattr(seifertq, name)
+    extra = {"r": 15, "levels": [15]}
+    args = [extra[p] for p in list(inspect.signature(fn).parameters)[1:] if p in extra]
+    with pytest.raises(DomainError, match="expected a SeifertSymbol") as raised:
+        fn(not_a_symbol, *args)
+    assert raised.value.exit_code == 4
