@@ -47,21 +47,26 @@ def _parse_levels(text: str) -> list[int]:
 # -- subcommand handlers ------------------------------------------------------
 
 
+def _invariant_fields(inv, value, **shape) -> dict:
+    """The fields of an invariant's payload; shape fields go before the warnings."""
+    return {
+        "r": inv.r,
+        "value": value,
+        "method": inv.method,
+        "term_count": inv.term_count,
+        "term_magnitude_sum": inv.term_magnitude_sum,
+        **shape,
+        "warnings": list(inv.warnings),
+    }
+
+
 def _cmd_rt(args: argparse.Namespace) -> dict:
     from .rt import rt_closed
     from .symbols import symbol_to_dict
 
     symbol = _load_symbol(args.symbol)
     inv = rt_closed(symbol, args.r)
-    return {
-        "symbol": symbol_to_dict(symbol),
-        "r": args.r,
-        "value": _complex_dict(complex(inv.value)),
-        "method": inv.method,
-        "term_count": inv.term_count,
-        "term_magnitude_sum": inv.term_magnitude_sum,
-        "warnings": list(inv.warnings),
-    }
+    return {"symbol": symbol_to_dict(symbol), **_invariant_fields(inv, _complex_dict(complex(inv.value)))}
 
 
 def _cmd_tv(args: argparse.Namespace) -> dict:
@@ -69,64 +74,54 @@ def _cmd_tv(args: argparse.Namespace) -> dict:
         raise MalformedInputError("tv needs exactly one of --symbol or --tri")
     if args.tri is not None:
         from .statesum import tv_statesum
-        from .triangulation import parse_triangulation
+        from .triangulation import load_triangulation
 
-        tri = parse_triangulation(_read_text(args.tri, "triangulation"))
+        tri = load_triangulation(args.tri)
         inv = tv_statesum(tri, args.r)
         return {
             "triangulation": args.tri,
-            "r": args.r,
-            "value": float(inv.value.real),
-            "method": inv.method,
-            "term_count": inv.term_count,
-            "term_magnitude_sum": inv.term_magnitude_sum,
-            "tetrahedra": tri.tet_count,
-            "vertices": tri.vertex_count,
-            "edges": tri.edge_count,
-            "faces": tri.face_count,
-            "euler_characteristic": tri.euler_characteristic,
-            "warnings": list(inv.warnings),
+            **_invariant_fields(
+                inv,
+                float(inv.value.real),
+                tetrahedra=tri.tet_count,
+                vertices=tri.vertex_count,
+                edges=tri.edge_count,
+                faces=tri.face_count,
+                euler_characteristic=tri.euler_characteristic,
+            ),
         }
     from .symbols import symbol_to_dict
     from .tv import tv_bounded, tv_closed
 
     symbol = _load_symbol(args.symbol)
     inv = tv_bounded(symbol, args.r) if symbol.has_boundary else tv_closed(symbol, args.r)
+    return {"symbol": symbol_to_dict(symbol), **_invariant_fields(inv, float(inv.value.real))}
+
+
+def _symbol_image(args: argparse.Namespace, key: str, transform) -> dict:
+    """The symbol, its image under transform, and the image's Euler number and orbifold characteristic."""
+    from .symbols import euler_number, orbifold_euler_characteristic, symbol_to_dict
+
+    symbol = _load_symbol(args.symbol)
+    image = transform(symbol)
     return {
         "symbol": symbol_to_dict(symbol),
-        "r": args.r,
-        "value": float(inv.value.real),
-        "method": inv.method,
-        "term_count": inv.term_count,
-        "term_magnitude_sum": inv.term_magnitude_sum,
-        "warnings": list(inv.warnings),
+        key: symbol_to_dict(image),
+        "euler_number": str(euler_number(image)),
+        "orbifold_euler_characteristic": str(orbifold_euler_characteristic(image)),
     }
 
 
 def _cmd_double(args: argparse.Namespace) -> dict:
-    from .symbols import double, euler_number, orbifold_euler_characteristic, symbol_to_dict
+    from .symbols import double
 
-    symbol = _load_symbol(args.symbol)
-    doubled = double(symbol)
-    return {
-        "symbol": symbol_to_dict(symbol),
-        "double": symbol_to_dict(doubled),
-        "euler_number": str(euler_number(doubled)),
-        "orbifold_euler_characteristic": str(orbifold_euler_characteristic(doubled)),
-    }
+    return _symbol_image(args, "double", double)
 
 
 def _cmd_normalize(args: argparse.Namespace) -> dict:
-    from .symbols import euler_number, normalize, orbifold_euler_characteristic, symbol_to_dict
+    from .symbols import normalize
 
-    symbol = _load_symbol(args.symbol)
-    normalized = normalize(symbol)
-    return {
-        "symbol": symbol_to_dict(symbol),
-        "normalized": symbol_to_dict(normalized),
-        "euler_number": str(euler_number(normalized)),
-        "orbifold_euler_characteristic": str(orbifold_euler_characteristic(normalized)),
-    }
+    return _symbol_image(args, "normalized", normalize)
 
 
 def _cmd_certify(args: argparse.Namespace) -> dict:

@@ -14,7 +14,8 @@ normalized logarithm
 
 to converge to zero along the sequence r = A, 3A, 5A, ...; the scan helper
 samples LTV at given levels and least-squares fits log |TV_r| against log r,
-estimating the polynomial growth exponent.
+estimating the polynomial growth exponent.  TV_r itself comes from tv, the
+one module that turns RT values into TV values.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import math
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateSystemError, DomainError, _in_float_range
-from .rt import _double_setup, rt_closed
-from .symbols import SeifertSymbol, _require_symbol, double
-from .tv import _tv_from_double_rt, _tv_from_rt, tv_closed
+from .rt import _double_setup
+from .symbols import SeifertSymbol, _require_symbol
+from .tv import tv_bounded, tv_closed
 
 __all__ = ["LowerBound", "lower_bound", "LemmaCheck", "verify_lemma", "LtvSample", "ltv_scan"]
 
@@ -79,17 +80,12 @@ class LemmaCheck(NamedTuple):
 def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
     """Compare the bound against the actual invariants at level r.
 
-    Both invariants come from one RT evaluation of the double D(M):
-    tv_bounded(M) is its real part and tv_closed(D(M)) its modulus squared.
+    Both invariants come from one evaluation of tv_bounded(M): RT(D(M)) is
+    real, so tv_closed(D(M)) = |RT(D(M))|^2 is its square.
     """
     bound = lower_bound(symbol, r)
-    rt = rt_closed(double(symbol), r)
-    return LemmaCheck(
-        r=r,
-        bound=bound.value,
-        tv_bounded_value=_tv_from_double_rt(rt).value,
-        tv_closed_double_value=_tv_from_rt(rt).value,
-    )
+    tv = tv_bounded(symbol, r).value
+    return LemmaCheck(r=r, bound=bound.value, tv_bounded_value=tv, tv_closed_double_value=tv**2)
 
 
 class LtvSample(NamedTuple):
@@ -101,9 +97,9 @@ class LtvSample(NamedTuple):
 def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSample, ...], float | None]:
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
-    TV_r is tv_closed of a closed symbol, and tv_bounded of a bounded one,
-    taken from RT of the double, which is built once for every level.  All
-    levels share the evaluated symbol's level-independent RT data (rt._plan).
+    TV_r is tv_closed of a closed symbol and tv_bounded of a bounded one.
+    All levels share the evaluated symbol's level-independent RT data
+    (rt._plan).
 
     Returns the samples and, when at least two distinct levels are given,
     the least-squares slope of log |TV_r| against log r (None otherwise).
@@ -114,14 +110,13 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
     levels = list(levels)  # read once: an iterator gives its levels to the loop and the slope alike
     if not levels:
         raise DomainError("ltv_scan needs at least one level")
-    doubled = double(symbol) if symbol.boundary else None  # built once for every level
+    tv = tv_bounded if symbol.boundary else tv_closed
     samples = []
     for r in levels:
-        inv = tv_closed(symbol, r) if doubled is None else _tv_from_double_rt(rt_closed(doubled, r))
-        magnitude = abs(float(inv.value.real))
-        if magnitude == 0.0:
+        value = tv(symbol, r).value
+        if value == 0.0:
             raise DomainError(f"invariant vanishes at r={r}; LTV is undefined")
-        samples.append(LtvSample(r=r, tv_value=float(inv.value.real), ltv=2.0 * math.pi / r * math.log(magnitude)))
+        samples.append(LtvSample(r=r, tv_value=value, ltv=2.0 * math.pi / r * math.log(abs(value))))
 
     slope: float | None = None
     if len(set(levels)) >= 2:

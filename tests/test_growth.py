@@ -6,17 +6,22 @@ import math
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import seifertq.congruence
 import seifertq.growth
 import seifertq.rt
+import seifertq.tv
 from seifertq import (
     DegenerateSystemError,
     DomainError,
     SeifertSymbol,
+    classify_system,
     double,
     lower_bound,
     ltv_scan,
+    system_modulus,
     tv_bounded,
     tv_closed,
     verify_lemma,
@@ -95,7 +100,7 @@ def test_lemma_evaluates_rt_once(monkeypatch):
     assert calls == [(double(ANCHOR), 15)]
 
 
-def test_ltv_scan_builds_one_double(monkeypatch):
+def test_ltv_scan_builds_one_double_per_level(monkeypatch):
     fiber, checked, doubles = seifertq.congruence._fiber, [], []
 
     def counting(a, b):
@@ -107,14 +112,51 @@ def test_ltv_scan_builds_one_double(monkeypatch):
         return double(symbol)
 
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
-    monkeypatch.setattr(seifertq.growth, "double", counting_double)
+    monkeypatch.setattr(seifertq.tv, "double", counting_double)
     seifertq.rt._plan.cache_clear()
     samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
-    # one double for every level, built from ANCHOR's checked fibers, so no fiber is checked again
-    assert doubles == [ANCHOR]
+    # tv_bounded builds the double at each level from ANCHOR's checked fibers, so no fiber is checked again
+    assert doubles == [ANCHOR] * 3
     assert checked == []
     monkeypatch.undo()
     assert [s.tv_value for s in samples] == [tv_bounded(ANCHOR, r).value for r in (15, 45, 75)]
+
+
+@st.composite
+def seifert_symbols(draw, boundary, moduli=st.integers(2, 15)):
+    """1-3 fibers with a drawn from moduli and coprime b in [-2a, 2a], either base, genus 1-3."""
+    fibers = tuple(
+        (a, draw(st.sampled_from([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, b) == 1])))
+        for a in draw(st.lists(moduli, min_size=1, max_size=3))
+    )
+    return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 3)), fibers, boundary=boundary)
+
+
+# r = k A is odd only when every a is, so the bounded symbols draw odd a in [3, 15]
+@settings(max_examples=40, deadline=None)
+@given(symbol=seifert_symbols(boundary=True, moduli=st.sampled_from(range(3, 16, 2))), k=st.sampled_from([1, 3]))
+def test_lemma_values_are_tv_values_property(symbol, k):
+    assume(classify_system(symbol.fibers).certificate is not None)
+    r = k * system_modulus(symbol.fibers)
+    check = verify_lemma(symbol, r)
+    assert check.tv_bounded_value == tv_bounded(symbol, r).value
+    assert check.tv_closed_double_value == tv_closed(double(symbol), r).value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    symbol=st.booleans().flatmap(seifert_symbols),
+    levels=st.lists(st.sampled_from(range(3, 46, 2)), min_size=1, max_size=3),
+)
+def test_ltv_scan_samples_are_tv_values_property(symbol, levels):
+    tv = tv_bounded if symbol.boundary else tv_closed
+    values = [tv(symbol, r).value for r in levels]
+    if 0.0 in values:
+        with pytest.raises(DomainError, match="vanishes"):
+            ltv_scan(symbol, levels)
+        return
+    samples, _ = ltv_scan(symbol, levels)
+    assert [s.tv_value for s in samples] == values
 
 
 def test_scan_and_lemma_build_one_plan():
