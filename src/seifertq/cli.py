@@ -1,9 +1,11 @@
 """Command line interface.
 
 Subcommands operate on Seifert symbols given as inline JSON or @file, or on
-triangulation files.  Output is JSON (default) or CSV on stdout; errors go
-to stderr with exit codes 2 (usage), 3 (malformed input), 4 (domain
-precondition), 5 (numeric inconsistency).
+triangulation files.  main reads and checks every --symbol before its
+handler runs and echoes it right after schema and command; the handler gets
+the checked SeifertSymbol.  Output is JSON (default) or CSV on stdout;
+errors go to stderr with exit codes 2 (usage), 3 (malformed input), 4
+(domain precondition), 5 (numeric inconsistency).
 
 With the default --deterministic flag the output is a pure function of the
 inputs (no timing field), byte-identical across runs; --no-deterministic
@@ -22,12 +24,6 @@ from .errors import MalformedInputError, SeifertQError, _read_text
 # imports of its own subcommand.
 
 SCHEMA_VERSION = 1
-
-
-def _load_symbol(source: str):
-    from .symbols import symbol_from_json
-
-    return symbol_from_json(_read_text(source[1:], "symbol") if source.startswith("@") else source)
 
 
 def _complex_dict(value: complex) -> dict:
@@ -62,11 +58,9 @@ def _invariant_fields(inv, value, **shape) -> dict:
 
 def _cmd_rt(args: argparse.Namespace) -> dict:
     from .rt import rt_closed
-    from .symbols import symbol_to_dict
 
-    symbol = _load_symbol(args.symbol)
-    inv = rt_closed(symbol, args.r)
-    return {"symbol": symbol_to_dict(symbol), **_invariant_fields(inv, _complex_dict(complex(inv.value)))}
+    inv = rt_closed(args.symbol, args.r)
+    return _invariant_fields(inv, _complex_dict(complex(inv.value)))
 
 
 def _cmd_tv(args: argparse.Namespace) -> dict:
@@ -90,22 +84,18 @@ def _cmd_tv(args: argparse.Namespace) -> dict:
                 euler_characteristic=tri.euler_characteristic,
             ),
         }
-    from .symbols import symbol_to_dict
     from .tv import tv_bounded, tv_closed
 
-    symbol = _load_symbol(args.symbol)
-    inv = tv_bounded(symbol, args.r) if symbol.has_boundary else tv_closed(symbol, args.r)
-    return {"symbol": symbol_to_dict(symbol), **_invariant_fields(inv, float(inv.value.real))}
+    inv = (tv_bounded if args.symbol.boundary else tv_closed)(args.symbol, args.r)
+    return _invariant_fields(inv, float(inv.value.real))
 
 
-def _symbol_image(args: argparse.Namespace, key: str, transform) -> dict:
-    """The symbol, its image under transform, and the image's Euler number and orbifold characteristic."""
+def _symbol_image(symbol, key: str, transform) -> dict:
+    """The image of symbol under transform, and the image's Euler number and orbifold characteristic."""
     from .symbols import euler_number, orbifold_euler_characteristic, symbol_to_dict
 
-    symbol = _load_symbol(args.symbol)
     image = transform(symbol)
     return {
-        "symbol": symbol_to_dict(symbol),
         key: symbol_to_dict(image),
         "euler_number": str(euler_number(image)),
         "orbifold_euler_characteristic": str(orbifold_euler_characteristic(image)),
@@ -115,24 +105,21 @@ def _symbol_image(args: argparse.Namespace, key: str, transform) -> dict:
 def _cmd_double(args: argparse.Namespace) -> dict:
     from .symbols import double
 
-    return _symbol_image(args, "double", double)
+    return _symbol_image(args.symbol, "double", double)
 
 
 def _cmd_normalize(args: argparse.Namespace) -> dict:
     from .symbols import normalize
 
-    return _symbol_image(args, "normalized", normalize)
+    return _symbol_image(args.symbol, "normalized", normalize)
 
 
 def _cmd_certify(args: argparse.Namespace) -> dict:
     from .congruence import certificate_to_dict, classify_system
-    from .symbols import symbol_to_dict
 
-    symbol = _load_symbol(args.symbol)
-    classification = classify_system(symbol.fibers)
+    classification = classify_system(args.symbol.fibers)
     certificate = classification.certificate
     return {
-        "symbol": symbol_to_dict(symbol),
         "case": classification.case,
         "certificate": certificate_to_dict(certificate) if certificate else None,
         "warnings": list(classification.warnings),
@@ -154,26 +141,22 @@ def _cmd_sixj(args: argparse.Namespace) -> dict:
     return {"r": args.r, "colors": list(args.colors), "value": _complex_dict(value)}
 
 
-def _resolve_levels(args: argparse.Namespace, symbol) -> list[int]:
+def _resolve_levels(args: argparse.Namespace) -> list[int]:
     if (args.r is None) == (args.k is None):
         raise MalformedInputError("give exactly one of --r or --k")
     if args.r is not None:
         return _parse_levels(args.r)
     from .congruence import system_modulus
 
-    modulus = system_modulus(symbol.fibers)
+    modulus = system_modulus(args.symbol.fibers)
     return [k * modulus for k in _parse_levels(args.k)]
 
 
 def _cmd_scan(args: argparse.Namespace) -> dict:
     from .growth import ltv_scan
-    from .symbols import symbol_to_dict
 
-    symbol = _load_symbol(args.symbol)
-    levels = _resolve_levels(args, symbol)
-    samples, slope = ltv_scan(symbol, levels)
+    samples, slope = ltv_scan(args.symbol, _resolve_levels(args))
     return {
-        "symbol": symbol_to_dict(symbol),
         "samples": [{"r": s.r, "tv": s.tv_value, "ltv": s.ltv} for s in samples],
         "growth_exponent": slope,
     }
@@ -181,16 +164,13 @@ def _cmd_scan(args: argparse.Namespace) -> dict:
 
 def _cmd_bound(args: argparse.Namespace) -> dict:
     from .growth import lower_bound, verify_lemma
-    from .symbols import symbol_to_dict
 
-    symbol = _load_symbol(args.symbol)
-    levels = _resolve_levels(args, symbol)
+    levels = _resolve_levels(args)
     if len(levels) != 1:
         raise MalformedInputError("bound takes a single level")
     (r,) = levels
-    bound = lower_bound(symbol, r)
+    bound = lower_bound(args.symbol, r)
     payload = {
-        "symbol": symbol_to_dict(symbol),
         "r": bound.r,
         "value": bound.value,
         "modulus": bound.modulus,
@@ -199,7 +179,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
         "warnings": list(bound.warnings),
     }
     if args.verify:
-        check = verify_lemma(symbol, r)
+        check = verify_lemma(args.symbol, r)
         payload["verify"] = {
             "tv_bounded": check.tv_bounded_value,
             "tv_closed_double": check.tv_closed_double_value,
@@ -259,10 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="omit timing so identical inputs give identical bytes",
     )
+    symbol = argparse.ArgumentParser(add_help=False)
+    symbol.add_argument("--symbol", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rt", parents=[common], help="RT invariant of a closed symbol")
-    p.add_argument("--symbol", required=True)
+    p = sub.add_parser("rt", parents=[common, symbol], help="RT invariant of a closed symbol")
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=_cmd_rt)
 
@@ -272,16 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=_cmd_tv)
 
-    p = sub.add_parser("double", parents=[common], help="orientation double of a bounded symbol")
-    p.add_argument("--symbol", required=True)
+    p = sub.add_parser("double", parents=[common, symbol], help="orientation double of a bounded symbol")
     p.set_defaults(func=_cmd_double)
 
-    p = sub.add_parser("normalize", parents=[common], help="normal form of a symbol")
-    p.add_argument("--symbol", required=True)
+    p = sub.add_parser("normalize", parents=[common, symbol], help="normal form of a symbol")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("certify", parents=[common], help="congruence system classification")
-    p.add_argument("--symbol", required=True)
+    p = sub.add_parser("certify", parents=[common, symbol], help="congruence system classification")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("dedekind", parents=[common], help="exact Dedekind sum s(b, a)")
@@ -294,14 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("colors", type=int, nargs=6)
     p.set_defaults(func=_cmd_sixj)
 
-    p = sub.add_parser("scan", parents=[common], help="LTV samples along a level sequence")
-    p.add_argument("--symbol", required=True)
+    p = sub.add_parser("scan", parents=[common, symbol], help="LTV samples along a level sequence")
     p.add_argument("--r", help="comma-separated levels")
     p.add_argument("--k", help="comma-separated multiples of the system modulus")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("bound", parents=[common], help="growth lower bound at a level")
-    p.add_argument("--symbol", required=True)
+    p = sub.add_parser("bound", parents=[common, symbol], help="growth lower bound at a level")
     p.add_argument("--r", help="level (odd multiple of the modulus)")
     p.add_argument("--k", help="multiple of the system modulus")
     p.add_argument("--verify", action="store_true", help="also compute the invariants")
@@ -316,13 +292,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = perf_counter()
+    result = {"schema": SCHEMA_VERSION, "command": args.command}
     try:
-        payload = args.func(args)
+        if getattr(args, "symbol", None) is not None:
+            from .symbols import symbol_from_json, symbol_to_dict
+
+            text = args.symbol
+            args.symbol = symbol_from_json(_read_text(text[1:], "symbol") if text.startswith("@") else text)
+            result["symbol"] = symbol_to_dict(args.symbol)
+        result.update(args.func(args))
     except SeifertQError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    result = {"schema": SCHEMA_VERSION, "command": args.command}
-    result.update(payload)
     if not args.deterministic:
         result["timing_ms"] = round(1000.0 * (perf_counter() - started), 3)
     _emit(result, args.format)

@@ -54,7 +54,11 @@ class NonInvertibleError(DomainError):
 
 
 class DegenerateSystemError(DomainError):
-    """Operation undefined on a degenerate congruence system (no multiple fibers)."""
+    """The congruence set B of a bounded symbol is empty, so lower_bound has no positive bound.
+
+    Only lower_bound raises it; a symbol without fibers or with a fiber of
+    multiplicity 1 fails the shared precondition first, as a plain DomainError.
+    """
 
 
 class NumericInconsistencyError(SeifertQError):

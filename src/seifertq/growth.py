@@ -49,7 +49,7 @@ def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
             "the congruence system has no solutions (B is empty), so the "
             "divisibility hypothesis fails and no positive lower bound exists"
         )
-    n = symbol.fiber_count
+    n = len(symbol.fibers)
     a_eps = symbol.a_eps
     value = (
         float(r) ** (a_eps * symbol.genus - 1)

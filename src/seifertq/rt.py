@@ -76,9 +76,7 @@ fiber (a, -b mod a) in P1, and only the fibers left unpaired need their
 Dedekind sums.  On an orientation double e = 0, so P3 = 1, and every fiber
 has its mirror, so P1 = 1 with no Dedekind sum computed.  With the rational
 x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), P1 is
-exp(i pi num / den) with num / den = x / 2r; x is an integer over the
-denominator of e unless unpaired fibers add Dedekind sums, the only case
-that builds a Fraction.  P3 is
+exp(i pi num / den) with num / den = x / 2r, x one exact Fraction.  P3 is
 exp(i pi 3 (1 - a_eps) sign(e) / 4), and the powers in P2 have the
 half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
 When P2's denominator leaves the float range, RT is nan and rt_closed
@@ -319,8 +317,9 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
     scale = float(math.prod(a for a, _ in symbol.fibers)) ** 2
     sign = -1.0 if n % 2 else 1.0
+    # a power that underflows to 0 stands for a term past the float range, which _in_float_range rejects
     magnitudes = [
-        scale / math.sin(math.pi * (p * A + gamma) / r) ** exponent
+        scale / power if (power := math.sin(math.pi * (p * A + gamma) / r) ** exponent) else math.inf
         for gamma, _ in certificate.set_b
         for p in range(k)
     ]
@@ -359,12 +358,8 @@ def _plan(symbol: SeifertSymbol) -> tuple:
     n, a_eps, g = len(fibers), symbol.a_eps, symbol.genus
     euler = euler_number(symbol)
     sign_e = (euler.numerator > 0) - (euler.numerator < 0)
-    # x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), over e's denominator while no Dedekind sum enters
-    num, den = 3 * (a_eps - 1) * sign_e * euler.denominator - euler.numerator, euler.denominator
     pairs, unpaired = _pair_off(fibers)  # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
-    if unpaired:
-        x = Fraction(num, den) - 12 * sum(_dedekind(b, a) for a, b in unpaired)
-        num, den = x.numerator, x.denominator
+    x = 3 * (a_eps - 1) * sign_e - euler - 12 * sum(_dedekind(b, a) for a, b in unpaired)  # a Fraction, as e is
     prod_a = math.prod(a for a, _ in fibers)
     try:
         p2_den = 2.0 ** ((2 * n + a_eps * g - 2) / 2) * math.sqrt(prod_a)
@@ -376,7 +371,7 @@ def _plan(symbol: SeifertSymbol) -> tuple:
     # i^n from the table: past n = 100 the power 1j**n is taken through exp and log, and rounds
     p2_sign, p3 = (-1.0) ** (a_eps * g) * _QUARTER_PHASES[n % 4], _phase(3 * (1 - a_eps) * sign_e, 4)
     return (euler.numerator, euler.denominator, n + a_eps * g - 2, a_eps * g % 2, pairs, unpaired, 2**n * prod_a,
-            num, den, p2_sign, (a_eps * g - 2) / 2, p2_den, p3)
+            x.numerator, x.denominator, p2_sign, (a_eps * g - 2) / 2, p2_den, p3)
 
 
 @_in_float_range

@@ -95,14 +95,6 @@ class SeifertSymbol(_SymbolFields):
         return cls(*iterable)  # so that _replace checks its result too
 
     @property
-    def fiber_count(self) -> int:
-        return len(self.fibers)
-
-    @property
-    def has_boundary(self) -> bool:
-        return self.boundary
-
-    @property
     def a_eps(self) -> int:
         """a_o = 2 for an orientable base, a_n = 1 for a non-orientable one."""
         return 2 if self.epsilon == "o" else 1

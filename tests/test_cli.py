@@ -69,6 +69,10 @@ def test_tv_requires_exactly_one_input(capsys):
     assert "exactly one" in err
     code, _, _ = run(capsys, "tv", "--symbol", TORUS, "--tri", "x.tri", "--r", "5")
     assert code == 3
+    # main reads --symbol before the handler sees --tri, so a bad symbol reports its own error
+    code, _, err = run(capsys, "tv", "--symbol", "{bad", "--tri", "x.tri", "--r", "5")
+    assert code == 3
+    assert "invalid JSON for symbol" in err
 
 
 def test_double_and_normalize(capsys):
@@ -96,19 +100,30 @@ def test_certify(capsys):
     assert [entry[0] for entry in cert["set_B"]] == [1, 4, 11, 14]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["rt", "--r", "7"],
-        ["tv", "--r", "15"],
-        ["double"],
-        ["normalize"],
-        ["certify"],
-        ["scan", "--k", "1,3"],
-        ["bound", "--k", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
+SYMBOL_COMMANDS = [
+    ["rt", "--r", "7"],
+    ["tv", "--r", "15"],
+    ["double"],
+    ["normalize"],
+    ["certify"],
+    ["scan", "--k", "1,3"],
+    ["bound", "--k", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", SYMBOL_COMMANDS, ids=lambda argv: argv[0])
+def test_symbol_is_echoed_after_schema_and_command(capsys, tmp_path, argv):
+    symbol = TORUS if argv[0] == "rt" else ANCHOR
+    path = tmp_path / "symbol.json"
+    path.write_text(symbol)
+    code, out, _ = run(capsys, argv[0], "--symbol", f"@{path}", *argv[1:])
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[:3] == ["schema", "command", "symbol"]
+    assert payload["symbol"] == json.loads(symbol)
+
+
+@pytest.mark.parametrize("argv", SYMBOL_COMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("b", [1, -1])
 def test_zero_multiplicity_exits_4(capsys, argv, b):
     symbol = f'{{"epsilon": "o", "genus": 1, "fibers": [[0, {b}], [3, 1]], "boundary": true}}'

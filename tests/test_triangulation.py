@@ -105,6 +105,12 @@ def test_unreadable_file_is_malformed_input(tmp_path, name, content):
         load_triangulation(path)
 
 
+def test_every_face_needs_a_gluing_entry():
+    # the parser writes all four faces of each tetrahedron, so only a direct caller can leave one out
+    with pytest.raises(TriangulationError, match="^missing gluing entry for tet 0 face 3$"):
+        Triangulation({(0, 0): None, (0, 1): None, (0, 2): None})
+
+
 def test_permutation_must_carry_face_index():
     # face 0 glued to face 1 but the permutation sends vertex 0 to 0
     text = "tet 0: 1:1:0123 - - -\ntet 1: - 0:0:0123 - -\n"
