@@ -6,12 +6,9 @@ Conventions (fixed once here, used everywhere):
   I_r = {0, 2, 4, ..., r - 3}, of size (r - 1) / 2 (colors are twice the
   spins that survive at odd levels);
 * quantum integers are kept real:  {n} := 2 sin(2 pi n / r),
-  with zeta := {1} = 2 sin(2 pi / r) > 0 and balanced brackets
-  [n] := {n} / {1};
-* quantum factorials {n}! = prod_{i=1..n} {i}, {0}! = 1.  {r} = 0, so
-  factorials vanish from n = r on; internally the caches extend beyond r
-  because summation numerators reach {z+1}! with z+1 up to 2r - 5, while
-  every denominator argument stays below r (where nothing vanishes);
+  with zeta := {1} = 2 sin(2 pi / r) > 0;
+* quantum factorials {n}! = prod_{i=1..n} {i}, {0}! = 1, the only
+  factorials here, are tabulated for 0 <= n <= r; {r}! = 0 since {r} = 0;
 * eta = 2 sin(2 pi / r) / sqrt(r) is the sphere normalization entering
   state sums and the bounded bridge.
 
@@ -27,34 +24,38 @@ powers of Delta are convention-independent).
 The six-j symbol of a tuple (i, j, k, l, m, n), with faces
 (i,j,k), (j,l,n), (i,m,n), (k,l,m), is
 
-    |i j k; l m n| = zeta^{-1} (sqrt(-1))^lambda prod_faces Delta(F)
-                     * sum_z (-1)^z {z+1}! / (prod_b {z-T_b}! prod_c {Q_c-z}!),
+    |i j k; l m n| = zeta^{-1} (-1)^{lambda/2} prod_faces Delta(F) * R,
+    R = sum_z (-1)^z {z+1}! / (prod_b {z-T_b}! prod_c {Q_c-z}!),
 
-lambda = i+j+k+l+m+n, T_b the half-sums of the faces, Q_c the half-sums of
-the three quadrilaterals, z running from max T to min Q.  The all-zero tuple
-evaluates to 1.
+lambda = i+j+k+l+m+n (even, so sqrt(-1)^lambda is a sign), T_b the
+half-sums of the faces, Q_c the half-sums of the three quadrilaterals, z
+running from max T to min Q.  The all-zero tuple evaluates to 1.  Each
+denominator argument is at most a face parameter, so below r, while
+{z+1}! = 0 from z + 1 = r on: R stops at z = r - 2 and reads no entry above r.
 
-State sums use the square-consistent regrouping of the same data: the theta
-graph theta(i,j,k) = (-1)^S [S+1]! [P1]! [P2]! [P3]! / ([i]![j]![k]!) and
+State sums use the real regrouping of the same data, the theta graph and
 the tetrahedral net
 
-    Tet = (prod_{b,c} [Q_c - T_b]! / prod_edges [e]!) *
-          sum_z (-1)^z [z+1]! / (prod_b [z-T_b]! prod_c [Q_c-z]!).
+    theta(i,j,k) = zeta^{-1} (-1)^S {S+1}! {P1}! {P2}! {P3}! / ({i}! {j}! {k}!),
+    Tet = zeta^{-1} prod_{b,c} {Q_c - T_b}! / prod_edges {e}! * R.
 
-Because the twelve numbers Q_c - T_b are exactly the twelve face parameters
-P, one has  |i j k; l m n|^2 = Tet^2 / prod_faces theta  identically, which
-is why a closed state sum may divide by theta once per face instead of
-carrying square roots.  For the same reason no admissible tuple has an empty
-z-range: every Q_c - T_b is a face parameter, hence >= 0.
+The twelve numbers Q_c - T_b are exactly the twelve face parameters P, so
+|i j k; l m n|^2 = Tet^2 / prod_faces theta identically (a closed state sum
+divides by theta once per face instead of carrying square roots), and no
+admissible tuple has an empty z-range.  Products of factorials leave the
+float range long before their quotients do, so theta and Tet take one
+factorial at a time; a value still beyond the float range is a DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
-from .errors import DomainError, _is_int, _require_level
+from .errors import DomainError, _in_float_range, _is_int, _require_level
 
 __all__ = [
     "RootContext",
@@ -99,17 +100,9 @@ class RootContext:
         self.zeta = _two_sin_two_pi(1, r)
         self.eta = self.zeta / math.sqrt(r)
         self.colors = tuple(range(0, r - 2, 2))
-
-        # {n} and {n}! for 0 <= n <= 2r - 4 ({n} = 0 exactly at multiples of r)
-        top = 2 * r - 3
-        self._qint = [_two_sin_two_pi(n, r) for n in range(top + 1)]
-        self._qfact = [1.0] * (top + 1)
-        for n in range(1, top + 1):
-            self._qfact[n] = self._qfact[n - 1] * self._qint[n]
-        self._bracket = [v / self.zeta for v in self._qint]
-        self._bfact = [1.0] * (top + 1)
-        for n in range(1, top + 1):
-            self._bfact[n] = self._bfact[n - 1] * self._bracket[n]
+        # {n} and {n}! for 0 <= n <= r
+        self._qint = [_two_sin_two_pi(n, r) for n in range(r + 1)]
+        self._qfact = list(accumulate(self._qint[1:], operator.mul, initial=1.0))
 
     def __repr__(self) -> str:
         return f"RootContext(r={self.r})"
@@ -150,6 +143,7 @@ def _require_admissible(ctx: RootContext, i: int, j: int, k: int) -> None:
         raise DomainError(f"triple ({i}, {j}, {k}) is not admissible at r = {ctx.r}")
 
 
+@_in_float_range
 def delta(ctx: RootContext, i: int, j: int, k: int) -> complex:
     """Delta(i, j, k), principal square root; may be purely imaginary."""
     _require_admissible(ctx, i, j, k)
@@ -157,29 +151,23 @@ def delta(ctx: RootContext, i: int, j: int, k: int) -> complex:
 
 
 def _delta(ctx: RootContext, i: int, j: int, k: int) -> complex:
+    fact = ctx._qfact
     s = (i + j + k) // 2
-    rad = (
-        ctx._qfact[(i + j - k) // 2]
-        * ctx._qfact[(i + k - j) // 2]
-        * ctx._qfact[(j + k - i) // 2]
-        / ctx._qfact[s + 1]
-    )
+    rad = fact[s - k] * fact[s - j] * fact[s - i] / fact[s + 1]
     return math.sqrt(ctx.zeta) * cmath.sqrt(complex(rad, 0.0))
 
 
+@_in_float_range
 def theta(ctx: RootContext, i: int, j: int, k: int) -> float:
     """Theta graph weight of an admissible triple (real)."""
     _require_admissible(ctx, i, j, k)
+    fact = ctx._qfact
     s = (i + j + k) // 2
-    sign = -1.0 if s % 2 else 1.0
-    return (
-        sign
-        * ctx._bfact[s + 1]
-        * ctx._bfact[(i + j - k) // 2]
-        * ctx._bfact[(i + k - j) // 2]
-        * ctx._bfact[(j + k - i) // 2]
-        / (ctx._bfact[i] * ctx._bfact[j] * ctx._bfact[k])
-    )
+    value = (-1.0 if s % 2 else 1.0) * fact[s + 1] / ctx.zeta
+    # the parameter opposite each edge, over that edge
+    for p, c in ((s - i, i), (s - j, j), (s - k, k)):
+        value = value * fact[p] / fact[c]
+    return value
 
 
 def _half_sums(tup: tuple[int, int, int, int, int, int]) -> tuple[list[int], list[int]]:
@@ -195,10 +183,11 @@ def _validate_tuple(ctx: RootContext, tup: tuple[int, ...]) -> None:
         _require_admissible(ctx, *(tup[s] for s in face))
 
 
-def _racah_sum(fact: list[float], T: list[int], Q: list[int]) -> float:
-    """sum_z (-1)^z fact[z+1] / (prod_b fact[z-T_b] prod_c fact[Q_c-z]), z from max T to min Q."""
+def _racah_sum(ctx: RootContext, T: list[int], Q: list[int]) -> float:
+    """The six-j symbol's R, z from max T to min(min Q, r - 2)."""
+    fact = ctx._qfact
     racah = 0.0
-    for z in range(max(T), min(Q) + 1):
+    for z in range(max(T), min(*Q, ctx.r - 2) + 1):
         term = fact[z + 1]
         for t in T:
             term /= fact[z - t]
@@ -208,15 +197,21 @@ def _racah_sum(fact: list[float], T: list[int], Q: list[int]) -> float:
     return racah
 
 
+@_in_float_range
 def tet_symbol(ctx: RootContext, *tup: int) -> float:
     """Tetrahedral net evaluation of an admissible tuple (real)."""
     _validate_tuple(ctx, tup)
     T, Q = _half_sums(tup)
-    interaction = math.prod(ctx._bfact[q - t] for q in Q for t in T)
-    edges = math.prod(ctx._bfact[c] for c in tup)
-    return interaction / edges * _racah_sum(ctx._bfact, T, Q)
+    fact = ctx._qfact
+    value = _racah_sum(ctx, T, Q) / ctx.zeta
+    # two of the twelve parameters Q_c - T_b over each edge
+    legs = [q - t for q in Q for t in T]
+    for c, p1, p2 in zip(tup, legs[::2], legs[1::2]):
+        value = value * fact[p1] / fact[c] * fact[p2]
+    return value
 
 
+@_in_float_range
 def six_j(ctx: RootContext, *tup: int) -> complex:
     """Root-of-unity six-j symbol |i j k; l m n| of an admissible tuple.
 
@@ -225,9 +220,8 @@ def six_j(ctx: RootContext, *tup: int) -> complex:
     """
     _validate_tuple(ctx, tup)
     T, Q = _half_sums(tup)
-    racah = _racah_sum(ctx._qfact, T, Q)
-    lam = sum(tup)
-    prefactor = (1j ** lam) / ctx.zeta
+    racah = _racah_sum(ctx, T, Q)
+    prefactor = (-1.0 if sum(tup) % 4 else 1.0) / ctx.zeta
     for face in _FACES:
         prefactor *= _delta(ctx, *(tup[s] for s in face))
     return prefactor * racah

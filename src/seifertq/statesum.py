@@ -4,14 +4,16 @@ A coloring assigns a color in I_r to every edge class of a closed
 triangulation; it is admissible when the three edge colors around every face
 class form an admissible triple.  The state sum is
 
-    TV_r = eta^{2 V} sum_colorings  prod_edges (-1)^{c(e)} [c(e) + 1]
+    TV_r = eta^{2 V} sum_colorings  prod_edges (-1)^{c(e)} {c(e) + 1} / zeta
            * prod_tets Tet(tuple) / prod_faces theta(triple)
 
-with eta = 2 sin(2 pi / r) / sqrt(r), V the number of vertex classes, the
-tetrahedral net evaluated on the six edge colors in slot order, and one
-theta per face class.  Squared six-j symbols factor as Tet^2 over the four
-face thetas, so distributing one theta to each face class reproduces the
-square of the usual vertex normalization while keeping every term real.
+with eta = 2 sin(2 pi / r) / sqrt(r), zeta = {1}, V the number of vertex
+classes, the tetrahedral net evaluated on the six edge colors in slot order,
+and one theta per face class; ``rootdata`` writes Tet and theta in the
+quantum factorials {n}!, each with one factor zeta^{-1}.  Squared six-j
+symbols factor as Tet^2 over the four face thetas, so distributing one theta
+to each face class reproduces the square of the usual vertex normalization
+while keeping every term real.
 
 Colorings are enumerated by backtracking over edge classes in index order,
 pruning as soon as any face class has all three edges colored but fails
@@ -75,13 +77,13 @@ def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
     ctx = RootContext(r)
     faces = tri.face_classes
     tet_slots = [tri.tet_edge_classes(t) for t in range(tri.tet_count)]
-    bracket = ctx._bracket
+    qint, zeta = ctx._qint, ctx.zeta
 
     terms: list[float] = []
     for coloring in enumerate_admissible_colorings(tri, ctx):
         weight = 1.0
         for color in coloring:
-            factor = bracket[color + 1]
+            factor = qint[color + 1] / zeta
             weight *= -factor if color % 2 else factor
         for slots in tet_slots:
             weight *= tet_symbol(ctx, *(coloring[s] for s in slots))

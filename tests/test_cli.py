@@ -269,6 +269,17 @@ def test_value_beyond_float_range_exits_4(capsys, genus):
     assert "exceeds the float range" in err
 
 
+def test_sixj_at_large_level_is_finite_or_exits_4(capsys):
+    # the Racah sum of this tuple overflows; sixj printed "re": Infinity and exited 0
+    code, out, err = run(capsys, "sixj", "--r", "2001", "1388", "888", "986", "518", "1050", "1158")
+    if code == 4:
+        assert out == ""
+        assert "exceeds the float range" in err
+    else:
+        assert code == 0
+        json.loads(out, parse_constant=pytest.fail)
+
+
 def test_prefactor_beyond_float_range_exits_4_not_zero(capsys):
     # P2's denominator 2^1023 sqrt(4) overflows to inf; RT printed "re": -0.0 and exited 0
     fibers = json.dumps([[1, 0]] * 522 + [[4, 1]])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -58,6 +59,18 @@ def oracle_six_j(r, i, j, k, l, m, n):
         total += term
     faces = dlt(i, j, k) * dlt(j, l, n) * dlt(i, m, n) * dlt(k, l, m)
     return (1j ** (i + j + k + l + m + n)) / q(1) * faces * total
+
+
+def seeded_tuples(ctx, count, seed):
+    """``count`` admissible tuples drawn uniformly from the color grid by a seeded generator."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        tup = tuple(rng.choice(ctx.colors) for _ in range(6))
+        i, j, k, l, m, n = tup
+        if all(is_admissible(ctx, *f) for f in [(i, j, k), (j, l, n), (i, m, n), (k, l, m)]):
+            out.append(tup)
+    return out
 
 
 def admissible_tuples(ctx):
@@ -160,10 +173,11 @@ def test_theta_of_unit_loops():
 def test_delta_squared_consistency():
     # Delta^2 equals the bracket-factorial radicand with no zeta factor
     ctx = RootContext(7)
+    # [n]! = prod_{t <= n} {t} / zeta, built here from the public quantum integers
+    b = [math.prod(quantum_integer(ctx, t) / ctx.zeta for t in range(1, n + 1)) for n in range(ctx.r + 1)]
     for i, j, k in [(2, 2, 2), (2, 4, 2), (4, 4, 2), (0, 2, 2)]:
         d2 = delta(ctx, i, j, k) ** 2
         s = (i + j + k) // 2
-        b = ctx._bfact
         expected = (
             b[(i + j - k) // 2] * b[(i + k - j) // 2] * b[(j + k - i) // 2] / b[s + 1]
         )
@@ -267,3 +281,42 @@ def test_theta_rejects_inadmissible():
 def test_non_integer_arguments_rejected(evaluate):
     with pytest.raises(DomainError):
         evaluate(RootContext(7))
+
+
+# -- large levels ------------------------------------------------------------------
+
+
+def test_six_j_phase_is_exact_at_large_lambda():
+    # each Delta is real or purely imaginary and sqrt(-1)^lambda is +-1, so one component is exactly 0
+    ctx = RootContext(1001)
+    for tup in seeded_tuples(ctx, 20, 1):
+        assert sum(tup) > 100, tup  # past lambda = 100, 1j ** lambda is rounded through exp and log
+        value = six_j(ctx, *tup)
+        assert value.real == 0.0 or value.imag == 0.0, (tup, value)
+
+
+@pytest.mark.parametrize("r", [101, 151, 301, 501])
+def test_nets_stay_finite(r):
+    ctx = RootContext(r)
+    for tup in seeded_tuples(ctx, 50, r):
+        assert math.isfinite(tet_symbol(ctx, *tup)), tup
+        assert math.isfinite(theta(ctx, *tup[:3])), tup
+
+
+def test_every_evaluator_is_finite_or_a_domain_error_at_r_2001():
+    ctx = RootContext(2001)
+    assert all(math.isfinite(quantum_integer(ctx, n)) for n in range(ctx.r + 1))
+    assert all(math.isfinite(quantum_factorial(ctx, n)) for n in range(ctx.r + 1))
+    # the first tuple's Racah sum overflows: six_j printed Infinity, tet_symbol returned nan
+    for tup in [(1388, 888, 986, 518, 1050, 1158)] + seeded_tuples(ctx, 40, 2):
+        i, j, k, l, m, n = tup
+        calls = [(six_j, tup), (tet_symbol, tup)]
+        for face in [(i, j, k), (j, l, n), (i, m, n), (k, l, m)]:
+            calls += [(delta, face), (theta, face)]
+        for evaluate, args in calls:
+            try:
+                value = evaluate(ctx, *args)
+            except DomainError as exc:
+                assert "exceeds the float range" in str(exc)
+            else:
+                assert cmath.isfinite(value), (evaluate.__name__, args)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from itertools import product
 
 import pytest
@@ -57,10 +58,14 @@ def test_colorings_match_brute_force(r):
 def test_sphere_statesum_is_eta_squared():
     tri = s3_two_tetrahedra()
     assert tv_statesum(tri, 3).value == 1.0
-    for r in (5, 7, 9, 11):
+    for r in (5, 7, 9, 11, 13, 15):
         expected = (2.0 * math.sin(2.0 * math.pi / r)) ** 2 / r
         got = tv_statesum(tri, r)
-        assert got.value == pytest.approx(expected, rel=1e-11)
+        if r <= 11:
+            assert got.value == pytest.approx(expected, rel=1e-11)
+        else:
+            # relative to the size of the terms summed, not of the value they cancel down to
+            assert abs(got.value - expected) <= 4 * sys.float_info.epsilon * got.term_magnitude_sum
         assert got.term_count == len(list(enumerate_admissible_colorings(tri, RootContext(r))))
 
 
