@@ -169,7 +169,8 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
     if len(levels) != 1:
         raise MalformedInputError("bound takes a single level")
     (r,) = levels
-    bound = lower_bound(args.symbol, r)
+    check = verify_lemma(args.symbol, r) if args.verify else None
+    bound = check.bound if check else lower_bound(args.symbol, r)
     payload = {
         "r": bound.r,
         "value": bound.value,
@@ -178,8 +179,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
         "cardinality": bound.cardinality,
         "warnings": list(bound.warnings),
     }
-    if args.verify:
-        check = verify_lemma(args.symbol, r)
+    if check:
         payload["verify"] = {
             "tv_bounded": check.tv_bounded_value,
             "tv_closed_double": check.tv_closed_double_value,

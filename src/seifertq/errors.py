@@ -70,17 +70,17 @@ class NumericInconsistencyError(SeifertQError):
 def _in_float_range(evaluate):
     """Make an evaluator raise DomainError when its value leaves the float range.
 
-    An overflowing float power or fsum raises OverflowError and an
-    overflowing product gives inf or nan; every float field of the result
-    (or the result itself) must be finite, so callers get exit code 4 rather
-    than a traceback or a non-finite number in their output.
+    A float power, fsum or division out of range raises ArithmeticError
+    and an overflowing product gives inf or nan; every float field of the
+    result (or the result itself) must be finite, so callers get exit code 4
+    rather than a traceback or a non-finite number in their output.
     """
 
     @functools.wraps(evaluate)
     def checked(*args, **kwargs):
         try:
             result = evaluate(*args, **kwargs)
-        except OverflowError:
+        except ArithmeticError:  # OverflowError, or ZeroDivisionError from a divisor that underflowed to 0
             result = float("inf")
         for x in result if isinstance(result, tuple) else (result,):
             if isinstance(x, _INEXACT) and not cmath.isfinite(x):

@@ -7,8 +7,9 @@ A = lcm(a_j), the invariant of the orientation double at a level r = k A
     bound(r) = (k A)^{a_eps g - 1} * 2 |B| k prod_j a_j / 2^{2n + a_eps g - 1},
 
 and the closed double's modulus-squared invariant dominates bound(r)^2.
-Both grow polynomially in r whenever B is nonempty, which forces the
-normalized logarithm
+Each gamma of B has one sign vector, so |B| counts rt.z_direct's support at
+level A.  Both bounds grow polynomially in r whenever B is nonempty, which
+forces the normalized logarithm
 
     LTV(r) = (2 pi / r) * log |TV_r|
 
@@ -43,8 +44,8 @@ class LowerBound(NamedTuple):
 @_in_float_range
 def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
     """Growth lower bound for a bounded symbol at an admissible level r = k A."""
-    A, k, certificate = _double_setup(symbol, r)  # checks that symbol is a SeifertSymbol
-    if certificate is None:
+    A, k, gammas = _double_setup(symbol, r)  # checks that symbol is a SeifertSymbol
+    if not gammas:
         raise DegenerateSystemError(
             "the congruence system has no solutions (B is empty), so the "
             "divisibility hypothesis fails and no positive lower bound exists"
@@ -54,25 +55,24 @@ def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
     value = (
         float(r) ** (a_eps * symbol.genus - 1)
         * 2.0
-        * certificate.cardinality
+        * len(gammas)
         * k
         * math.prod(a for a, _ in symbol.fibers)
         / 2.0 ** (2 * n + a_eps * symbol.genus - 1)
     )
-    return LowerBound(value, r, A, k, certificate.cardinality)
+    return LowerBound(value, r, A, k, len(gammas))
 
 
 class LemmaCheck(NamedTuple):
-    r: int
-    bound: float
+    bound: LowerBound  # at the level bound.r of both invariants
     tv_bounded_value: float
     tv_closed_double_value: float
 
     @property
     def satisfied(self) -> bool:
         return (
-            self.tv_bounded_value >= self.bound
-            and self.tv_closed_double_value >= self.bound**2
+            self.tv_bounded_value >= self.bound.value
+            and self.tv_closed_double_value >= self.bound.value**2
         )
 
 
@@ -85,7 +85,7 @@ def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
     """
     bound = lower_bound(symbol, r)
     tv = tv_bounded(symbol, r).value
-    return LemmaCheck(r=r, bound=bound.value, tv_bounded_value=tv, tv_closed_double_value=tv**2)
+    return LemmaCheck(bound=bound, tv_bounded_value=tv, tv_closed_double_value=tv**2)
 
 
 class LtvSample(NamedTuple):

@@ -101,6 +101,9 @@ This gives the closed form
 an exactly-zero value when the solution set B is empty, and a manifestly
 positive-or-negative real number otherwise.  It is the pair form above at
 r = kA, where each pair's |F|^2 is a_j^2 on the support and 0 off it.
+As r is odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma
+of B are the support at level A, and z_double_simplified scales the sum of
+_scales, z_direct's sin^{-E}, over their k lifts by (prod_j a_j)^2.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .congruence import CongruenceCertificate, _certificate, _crt_fold, _dedekind
+from .congruence import _crt_fold, _dedekind
 from .errors import DomainError, _in_float_range, _is_int, _require_level
 from .symbols import SeifertSymbol, _require_symbol, euler_number
 
@@ -275,10 +278,10 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     )
 
 
-def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCertificate | None]:
+def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, Sequence[int]]:
     """Check the preconditions the simplified form and the growth bound share.
 
-    Returns (A, k, certificate) with r = k A; certificate is None when B is empty.
+    Returns (A, k, gammas) with r = k A and gammas the gamma of B, each once: z_direct's support at level A.
     """
     _require_symbol(symbol)
     _require_level(r)
@@ -292,7 +295,8 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, CongruenceCe
     A = math.lcm(*(a for a, _ in symbol.fibers))
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
-    return A, r // A, _certificate(symbol.fibers)  # SeifertSymbol has checked every fiber
+    # every a_j divides the odd r, so it is odd and >= 3 and b^* != -b^* (mod a_j): each gamma of B has one mu
+    return A, r // A, _support([(a, pow(b, -1, a)) for a, b in symbol.fibers], A)
 
 
 @_in_float_range
@@ -302,10 +306,8 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     Requires a bounded symbol with at least one fiber, every a_j >= 2, and a
     level r that is an odd multiple of A = lcm(a_j).
     """
-    A, k, certificate = _double_setup(symbol, r)
-    n = len(symbol.fibers)
-    exponent = 2 * n + 2 * symbol.a_eps * symbol.genus - 2
-    if certificate is None:
+    A, k, gammas = _double_setup(symbol, r)
+    if not gammas:
         return InvariantValue(
             value=0.0,
             r=r,
@@ -315,20 +317,17 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
             warnings=("empty congruence solution set; the sum vanishes identically",),
         )
 
-    scale = float(math.prod(a for a, _ in symbol.fibers)) ** 2
-    sign = -1.0 if n % 2 else 1.0
-    # a power that underflows to 0 stands for a term past the float range, which _in_float_range rejects
-    magnitudes = [
-        scale / power if (power := math.sin(math.pi * (p * A + gamma) / r) ** exponent) else math.inf
-        for gamma, _ in certificate.set_b
-        for p in range(k)
-    ]
-    total = math.fsum(magnitudes)
+    n = len(symbol.fibers)
+    lifts = [gamma + p * A for gamma in gammas for p in range(k)]
+    # a sine power past the float range raises OverflowError, which _in_float_range rejects
+    total = float(math.prod(a for a, _ in symbol.fibers)) ** 2 * math.fsum(
+        _scales(lifts, r, 2 * n + 2 * symbol.a_eps * symbol.genus - 2)
+    )
     return InvariantValue(
-        value=sign * total,
+        value=-total if n % 2 else total,
         r=r,
         method="simplified",
-        term_count=len(magnitudes),
+        term_count=len(lifts),
         term_magnitude_sum=total,
     )
 

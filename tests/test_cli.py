@@ -9,6 +9,7 @@ from importlib.resources import files
 
 import pytest
 
+import seifertq.growth
 from seifertq import RootContext, six_j
 from seifertq.cli import main
 
@@ -206,6 +207,14 @@ def test_bound_with_verification(capsys):
     assert payload["verify"]["satisfied"] is True
 
 
+def test_bound_with_verification_computes_the_bound_once(capsys, monkeypatch):
+    original, calls = seifertq.growth.lower_bound, []
+    monkeypatch.setattr(seifertq.growth, "lower_bound", lambda *args: calls.append(args) or original(*args))
+    code, _, _ = run(capsys, "bound", "--symbol", ANCHOR, "--k", "1", "--verify")
+    assert code == 0
+    assert len(calls) == 1  # verify_lemma's bound is the one printed
+
+
 def test_symbol_from_file(capsys, tmp_path):
     path = tmp_path / "symbol.json"
     path.write_text(TORUS)
@@ -278,6 +287,14 @@ def test_sixj_at_large_level_is_finite_or_exits_4(capsys):
     else:
         assert code == 0
         json.loads(out, parse_constant=pytest.fail)
+
+
+def test_sixj_past_the_factorial_table_range_exits_4(capsys):
+    # {n}! leaves the float range from n = 3553 at r = 9001; this exited 1 with a ZeroDivisionError traceback
+    code, out, err = run(capsys, "sixj", "--r", "20001", *["10000"] * 6)
+    assert code == 4
+    assert out == ""
+    assert "exceeds the float range" in err
 
 
 def test_prefactor_beyond_float_range_exits_4_not_zero(capsys):

@@ -74,8 +74,8 @@ def test_lemma_holds_at_anchor_levels():
     for r in (15, 45):
         check = verify_lemma(ANCHOR, r)
         assert check.satisfied
-        assert check.tv_bounded_value >= check.bound > 1
-        assert check.tv_closed_double_value >= check.bound**2
+        assert check.tv_bounded_value >= check.bound.value > 1
+        assert check.tv_closed_double_value >= check.bound.value**2
 
 
 def test_lemma_values_consistent_with_tv():

@@ -56,8 +56,13 @@ RECORDS = [
         id="LowerBound",
     ),
     pytest.param(
-        lambda: LemmaCheck(r=3, bound=4.5, tv_bounded_value=4.0, tv_closed_double_value=16.0),
-        "LemmaCheck(r=3, bound=4.5, tv_bounded_value=4.0, tv_closed_double_value=16.0)",
+        lambda: LemmaCheck(
+            bound=LowerBound(value=4.5, r=3, modulus=3, multiplier=1, cardinality=2),
+            tv_bounded_value=4.0,
+            tv_closed_double_value=16.0,
+        ),
+        "LemmaCheck(bound=LowerBound(value=4.5, r=3, modulus=3, multiplier=1, cardinality=2, warnings=()), "
+        "tv_bounded_value=4.0, tv_closed_double_value=16.0)",
         {},
         id="LemmaCheck",
     ),

@@ -320,3 +320,15 @@ def test_every_evaluator_is_finite_or_a_domain_error_at_r_2001():
                 assert "exceeds the float range" in str(exc)
             else:
                 assert cmath.isfinite(value), (evaluate.__name__, args)
+
+
+def test_every_evaluator_is_finite_or_a_domain_error_at_r_20001():
+    # the {n}! table leaves the float range, and each evaluator raised a bare ZeroDivisionError
+    ctx, tup = RootContext(20001), (10000,) * 6
+    for evaluate, args in [(six_j, tup), (tet_symbol, tup), (theta, tup[:3]), (delta, tup[:3])]:
+        try:
+            value = evaluate(ctx, *args)
+        except DomainError as exc:
+            assert "exceeds the float range" in str(exc)
+        else:
+            assert cmath.isfinite(value), evaluate.__name__

@@ -18,17 +18,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seifertq.congruence
 import seifertq.rt
 from seifertq import (
+    DegenerateSystemError,
     DomainError,
     InvariantValue,
     SeifertSymbol,
     dedekind_sum,
     double,
+    enumerate_solutions,
     euler_number,
     lower_bound,
     normalize,
@@ -619,6 +621,33 @@ def test_simplified_matches_direct_property(symbol, k):
     assert abs(direct.value - simplified.value) <= 1e-14 * direct.term_magnitude_sum
 
 
+@settings(deadline=None)
+@given(symbol=odd_modulus_symbols(), k=st.sampled_from((1, 3)))
+@example(symbol=SeifertSymbol("o", 1, ((5, 1), (5, 4)), boundary=True), k=3)
+@example(symbol=SeifertSymbol("o", 1, ((5, 1), (5, 1)), boundary=True), k=3)
+def test_support_at_level_a_is_the_congruence_set(symbol, k):
+    # every a_j is odd and >= 3, so each gamma of B has one mu: z_direct's support at level A counts B
+    modulus = math.lcm(*(a for a, _ in symbol.fibers))
+    r, certificate = k * modulus, enumerate_solutions(symbol.fibers)
+    simplified = z_double_simplified(symbol, r)
+    if certificate is None:
+        with pytest.raises(DegenerateSystemError):
+            lower_bound(symbol, r)
+        assert (simplified.value, simplified.term_count) == (0.0, 0)
+        return
+    assert lower_bound(symbol, r).cardinality == certificate.cardinality
+    # the literal closed form: one term per (gamma, mu) in B and lift p < k
+    n = len(symbol.fibers)
+    exponent, scale = 2 * n + 2 * symbol.a_eps * symbol.genus - 2, math.prod(a for a, _ in symbol.fibers) ** 2
+    literal = (-1) ** n * math.fsum(
+        scale / math.sin(math.pi * (p * modulus + gamma) / r) ** exponent
+        for gamma, _ in certificate.set_b
+        for p in range(k)
+    )
+    assert simplified.term_count == certificate.cardinality * k
+    assert abs(simplified.value - literal) <= 4 * sys.float_info.epsilon * simplified.term_magnitude_sum
+
+
 def test_simplified_frozen_anchor():
     assert z_double_simplified(ANCHOR_SYMBOL, 15).value == pytest.approx(
         5573747.204459745, rel=1e-12
@@ -657,14 +686,14 @@ def test_simplified_preconditions():
 
 @pytest.mark.parametrize("evaluate", [z_double_simplified, lower_bound])
 def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
-    original, fiber = seifertq.congruence._crt_fold, seifertq.congruence._fiber
+    original, fiber = seifertq.rt._crt_fold, seifertq.congruence._fiber
     folds, checked = [], []
 
     def counting(constraints, *args):
-        folds.append(constraints)
+        folds.append(sorted(constraints))
         return original(constraints, *args)
 
-    monkeypatch.setattr(seifertq.congruence, "_crt_fold", counting)
+    monkeypatch.setattr(seifertq.rt, "_crt_fold", counting)  # the binding _support calls
     monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
     evaluate(ANCHOR_SYMBOL, 15)
     assert folds == [[(3, 1), (5, 1)]]  # one fold over the (a, b*) of the symbol's fibers, none checked again
