@@ -37,34 +37,35 @@ of the pair's two entries is nonzero, |F|^2 is that entry's squared modulus
 and phi is not computed; at r = k lcm(a_j) with every a_j odd and >= 3 this
 is the case at every gamma.  An orientation double pairs every fiber and has
 e = 0, so its Z is a sum of real terms of the sign (-1)^n built from n
-tables, not 2n, and its RT is exactly real.  Each such term vanishes only
-where a pair has both entries 0.  H_j(t) has modulus 0 or at least
-sqrt(a_j d) >= 1 (d as below), while a zero one rounds to a few a_j eps, so
-every table, a pair's or an unpaired fiber's, keeps its nonzero entries
-only, and a Z that vanishes is an exact 0 rather than a sum of terms of
-order eps (eps^2 on a double).
+tables, not 2n, and its RT is exactly real.
 
 H_j is tabulated once per pair or unpaired fiber, for the t that occur.
-Let d = gcd(r, a_j), which is gcd(r b_j^*, a_j).  Writing
-m = m' + (a_j / d) m'' leaves the quadratic term blind to m'', so the sum
-over m'' vanishes unless d | t, and
+Let d = gcd(r, a_j), which is gcd(r b_j^*, a_j), and c = a_j / d.  Writing
+m = m' + c m'' leaves the quadratic term blind to m'', so the sum over m''
+vanishes unless d | t, and
 
-    H_j(t) = d sum_{m in Z_{a_j / d}} exp(-2 pi i ((t/d) m + (r b_j^*/d) m^2) / (a_j / d))
+    H_j(t) = d sum_{m in Z_c} exp(-2 pi i ((t/d) m + (r b_j^*/d) m^2) / c)
 
-when d | t.  A table therefore costs at most (a_j / d) min(a_j, r) terms.
-Since every t in a table is a multiple of d_j, a gamma contributes only if
-gamma == -mu_j b_j^* (mod d_j) for some mu_j, for every j: the support S is
-one CRT fold over the fibers with d_j > 1, lifted by lcm(d_j), and only the
-gamma in S are summed.  Z costs O(|S| n) terms and |S| sines, plus
-O(sum_j (a_j / d_j) min(a_j, r)) over the tables built, plus one O(r) pass
-per (r, E) per process for the magnitude sum of sin^{-E} over every gamma,
-which depends on the level and the exponent E = n + a_eps g - 2 only and is
-cached.
-At a level coprime to every a_j, S is all of 1..r-1 and the loop's own sines
-give that sum.  When a_j | r,
-as for every fiber of a double at r = k lcm(a_j), the table is the single
-exact entry H_j(t) = a_j [t == 0 mod a_j], and S is the k lifts of the
-gamma of the congruence system below.
+when d | t: d times a quadratic Gauss sum G(alpha, t/d; c) with alpha a unit
+mod c.  Such a sum (Berndt-Evans-Williams, Gauss and Jacobi Sums, ch. 1) is
+never 0 for c odd; for c == 2 (mod 4) it is 0 exactly when t/d is even, and
+for c == 0 (mod 4) exactly when t/d is odd.  So H_j(t) != 0 exactly when
+t == t0 (mod D), with (D, t0) = (d, 0) for c odd and (2d, a_j/2 mod 2d) for
+c even, and there |H_j|^2 = a_j D (_nonzero).  A table holds that class only,
+at a cost of at most (a_j / d) min(a_j, r) terms.  A gamma has a nonzero
+factor for fiber j exactly when gamma == t0_j - mu_j b_j^* (mod D_j) for some
+mu_j; as 2 t0_j == 0 (mod D_j) the support S of the gamma where every fiber
+has one is one CRT fold over the fibers with D_j > 1, lifted by lcm(D_j).
+Only the gamma in S are summed, so a Z with S empty is an exact 0 rather
+than a sum of terms of order eps (eps^2 on a double).  Z costs O(|S| n)
+terms and |S| sines, plus O(sum_j (a_j / d_j) min(a_j, r)) over the tables
+built, plus one O(r) pass per (r, E) per process for the magnitude sum of
+sin^{-E} over every gamma, which depends on the level and the exponent
+E = n + a_eps g - 2 only and is cached.
+At a level coprime to every a_j, all odd, S is all of 1..r-1 and the loop's
+own sines give that sum.  When a_j | r, as for every fiber of a double at
+r = k lcm(a_j), the table is the single exact entry H_j(t) = a_j [t == 0 mod
+a_j], and S is the k lifts of the gamma of the congruence system below.
 Every phase is exp(i pi num / den) for integers num and den, reduced modulo 2
 in integer arithmetic and exact at quarter turns, so the only rounding
 before exp is the one of num / den; every sum is accumulated with
@@ -167,20 +168,26 @@ def unit_phase(exponent: Fraction) -> complex:
     return _phase(exponent.numerator, exponent.denominator)
 
 
+def _nonzero(a: int, r: int) -> tuple[int, int, int]:
+    """(d, D, t0) with d = gcd(r, a): H(t) != 0 exactly when t == t0 (mod D), and there |H|^2 = a D."""
+    d = math.gcd(r, a)
+    return (d, 2 * d, a // 2 % (2 * d)) if a // d % 2 == 0 else (d, d, 0)
+
+
 def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
-    """H(t) = sum_{m in Z_a} exp(-2 pi i (t m + r b^* m^2) / a) for the t that occur, where d | t.
+    """H(t) = sum_{m in Z_a} exp(-2 pi i (t m + r b^* m^2) / a) for the t that occur where H(t) != 0.
 
     With d = gcd(r, a), H(t) = d sum_{m in Z_{a/d}} exp(-2 pi i ((t/d) m + (r b^*/d) m^2) / (a/d))
-    when d | t and 0 otherwise; the t that occur are (gamma +- b^*) mod a, 0 < gamma < r.
+    on the class t == t0 (mod D) of _nonzero; the t that occur are (gamma +- b^*) mod a, 0 < gamma < r.
     """
     if r % a == 0:
         return {0: complex(a)}  # d = a: one term, and only t = 0 occurs
-    d = math.gcd(r, a)
+    d, modulus, t0 = _nonzero(a, r)
     reduced, quad = a // d, r * bstar % a // d
     if r > a:
-        ts = range(0, a, d)
+        ts = range(t0, a, modulus)
     else:
-        ts = {t for gamma in range(1, r) for t in ((gamma + bstar) % a, (gamma - bstar) % a) if t % d == 0}
+        ts = {t for gamma in range(1, r) for t in ((gamma + bstar) % a, (gamma - bstar) % a) if t % modulus == t0}
     roots = [cmath.exp(-2j * math.pi * k / reduced) for k in range(reduced)]
     return {
         t: d * _fsum_complex([roots[(t // d * m + quad * m * m) % reduced] for m in range(reduced)])
@@ -189,21 +196,23 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
 
 
 def _support(bstars: list[tuple[int, int]], r: int) -> Sequence[int]:
-    """The gamma in 1..r-1 at which no Gauss table is zero by divisibility, in no set order.
+    """The gamma in 1..r-1 at which every fiber (a, b^*) has a nonzero H((gamma +- b^*) mod a), in no set order.
 
-    Every key of the table of a fiber (a, b^*) is a multiple of d = gcd(r, a), so gamma
-    survives only if gamma == -+b^* (mod d) for every fiber; fibers with d = 1 constrain nothing.
+    With (D, t0) of _nonzero that is gamma == t0 -+ b^* == -+(b^* - t0) (mod D), as 2 t0 == 0 (mod D).
     """
-    # fibers whose (d, +-b^* mod d) agree give one constraint
-    constraints = list({(d, min(bstar % d, -bstar % d)) for a, bstar in bstars if (d := math.gcd(r, a)) > 1})
+    constraints = set()  # fibers whose (D, +-(b^* - t0) mod D) agree give one constraint
+    for a, bstar in bstars:
+        _, D, t0 = _nonzero(a, r)
+        if D > 1:
+            constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
     if not constraints:
         return range(1, r)
-    half, modulus = _crt_fold(constraints)
+    half, modulus = _crt_fold(list(constraints))
     # the fold holds the first sign at +1, and the mirror -gamma of each residue brings the other;
-    # a set, so that each gamma comes once however many sign vectors reach it; no residue is 0 mod d > 1
+    # a set, so that each gamma comes once however many sign vectors reach it; a residue 0 lifts from modulus
     residues = {t for t, _ in half}
-    residues.update([modulus - t for t in residues])
-    return [gamma for residue in residues for gamma in range(residue, r, modulus)]
+    residues.update([-t % modulus for t in residues])
+    return [gamma for residue in residues for gamma in range(residue or modulus, r, modulus)]
 
 
 def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
@@ -223,7 +232,7 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
     Per level it costs one Gauss table per mirrored pair and per unpaired
     fiber, O(|S| n) terms and |S| sines, where S is the set of gamma at which
-    every Gauss table can be nonzero (_support), plus one O(r) pass per
+    every fiber has a nonzero Gauss sum (_support), plus one O(r) pass per
     (r, E) per process for the magnitude sum (_scale_sum); e, E, the pairs
     and the b^* come from the symbol's _plan.
     """
@@ -232,12 +241,10 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     if symbol.boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
-    # |H(t)| is 0 or at least 1 and a zero one rounds to a few a eps: every table drops it, so a term is 0, not eps
     pair_tables, fibers = (
-        [(a, bstar, {t: h for t, h in _gauss_table(a, bstar, r).items() if abs(h) >= 0.5}) for a, bstar in part]
-        for part in (pairs, unpaired)
+        [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in part] for part in (pairs, unpaired)
     )
-    support = _support(pairs + unpaired, r)
+    support = _support(pairs + unpaired, r)  # at each of its gamma every table has a nonzero entry
     scales = _scales(support, r, exponent)
     flip = len(pairs) % 2  # each pair contributes -|F|^2
 
@@ -252,19 +259,12 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
                 factor = phase.conjugate() * plus - phase * minus
             else:
                 factor = plus or minus  # |F| = |H| when one entry is zero, so no phase is needed
-                if not factor:
-                    break  # the whole product vanishes
             term *= factor.real * factor.real + factor.imag * factor.imag
-        else:
-            for a, bstar, table in fibers:
-                plus = table.get((gamma + bstar) % a, 0)
-                minus = table.get((gamma - bstar) % a, 0)
-                if not (plus or minus):
-                    break
-                phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
-                term *= phase.conjugate() * plus - phase * minus
-            else:
-                terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
+        for a, bstar, table in fibers:
+            plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
+            phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
+            term *= phase.conjugate() * plus - phase * minus
+        terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
 
     # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
     magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-import re
 
 import pytest
 
@@ -79,7 +78,7 @@ RECORDS = [
 def test_record_contract(make, text, defaults):
     record = make()
     assert repr(record) == text
-    for name in re.findall(r"(\w+)=", text):  # every field, in the order the repr lists them
+    for name in type(record)._fields:  # its own fields, not those of a record nested in it
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
     twin = make()

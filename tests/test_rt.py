@@ -1,9 +1,10 @@
 """Chiral invariants: direct sums, prefactors, and the simplified double form.
 
 z_direct is cross-checked against a plain triple-loop oracle that evaluates
-every phase with floating exponentials and no shared code, and bit for bit
-against the same Gauss-sum evaluation looped over every gamma; the simplified
-double-sum form is then checked against z_direct on the doubled symbol.
+every phase with floating exponentials and no shared code, and against a loop
+over every gamma with each fiber's literal Gauss sums, bit for bit where no
+fibers pair off and none of the sums vanishes; the simplified double-sum form
+is then checked against z_direct on the doubled symbol.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from seifertq import (
     z_direct,
     z_double_simplified,
 )
-from seifertq.rt import _fsum_complex, _gauss_table, _pair_off, _phase, _plan, _scale_sum
+from seifertq.rt import _fsum_complex, _gauss_table, _nonzero, _pair_off, _phase, _plan, _scale_sum
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -151,13 +152,19 @@ def test_z_direct_preconditions():
         z_direct(SeifertSymbol("o", 1, ((0, 1),)), 5)  # zero multiplicity
 
 
+def literal_gauss(a, bstar, r):
+    """H(t) = sum_{m in Z_a} exp(-2 pi i (t m + r b^* m^2) / a) for every t in Z_a, each exponent reduced mod a."""
+    roots = [cmath.exp(-2j * math.pi * k / a) for k in range(a)]
+    return [_fsum_complex([roots[(t * m + r * bstar * m * m) % a] for m in range(a)]) for t in range(a)]
+
+
 def full_loop_z(symbol, r):
-    """z_direct as a loop over every gamma in 1..r-1, each looked up in every Gauss table."""
+    """z_direct as a loop over every gamma in 1..r-1, each looked up in every fiber's literal Gauss sums."""
     euler = euler_number(symbol)
     exponent = len(symbol.fibers) + symbol.a_eps * symbol.genus - 2
     odd_sign = symbol.a_eps * symbol.genus % 2
     bstars = [(a, pow(b, -1, a)) for a, b in symbol.fibers]
-    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in bstars]
+    fibers = [(a, bstar, literal_gauss(a, bstar, r)) for a, bstar in bstars]
 
     terms, scales = [], []
     for gamma in range(1, r):
@@ -165,14 +172,9 @@ def full_loop_z(symbol, r):
         scales.append(scale)
         term = -scale if gamma & odd_sign else scale
         for a, bstar, table in fibers:
-            plus = table.get((gamma + bstar) % a, 0)
-            minus = table.get((gamma - bstar) % a, 0)
-            if not (plus or minus):
-                break
             phase = _phase(gamma, a * r)
-            term *= phase.conjugate() * plus - phase * minus
-        else:
-            terms.append(term * _phase(euler.numerator * gamma * gamma, 2 * r * euler.denominator))
+            term *= phase.conjugate() * table[(gamma + bstar) % a] - phase * table[(gamma - bstar) % a]
+        terms.append(term * _phase(euler.numerator * gamma * gamma, 2 * r * euler.denominator))
 
     per_gamma = 2 ** len(fibers) * math.prod(a for a, _, _ in fibers)
     magnitude = per_gamma * math.fsum(scales)
@@ -224,11 +226,10 @@ def test_z_direct_equals_full_loop(case):
     _scale_sum.cache_clear()
     cold, warm, want = z_direct(symbol, r), z_direct(symbol, r), full_loop_z(symbol, r)
     assert _fields(cold) == _fields(warm)
-    # z_direct drops the Gauss sums that vanish and round to a few a eps; the full loop keeps them
-    dropped = any(
-        abs(h) < 0.5 for a, b in symbol.fibers for h in _gauss_table(a, pow(b, -1, a), r).values()
-    )
-    if _pair_off(symbol.fibers)[0] or dropped:
+    # z_direct skips the Gauss sums that vanish by its exact rule; the full loop keeps their literal sums,
+    # which round to a few a eps, and sums each H over every m in Z_a rather than Z_{a/d}
+    vanishing = any(abs(h) < 0.5 for a, b in symbol.fibers for h in literal_gauss(a, pow(b, -1, a), r))
+    if _pair_off(symbol.fibers)[0] or vanishing:
         # a mirrored pair takes the real -|F|^2 for its two complex factors: the same terms, rounded otherwise
         assert _fields(cold)[1:] == _fields(want)[1:]
         assert abs(cold.value - want.value) <= 4 * sys.float_info.epsilon * want.term_magnitude_sum
@@ -282,17 +283,47 @@ def _coprime_fiber(a):
 
 
 @given(fibers=st.lists(st.integers(1, 15).flatmap(_coprime_fiber), max_size=5), r=st.sampled_from(range(3, 60, 2)))
+@example(fibers=[(6, 1)], r=5)  # a == 2 (mod 4) and d = 1: the surviving gamma are 0 (mod 2)
+@example(fibers=[(2, 1), (4, 1)], r=9)  # even gamma for (2, 1), odd for (4, 1): none survives
 def test_support_matches_brute_force_property(fibers, r):
     bstars = [(a, pow(b, -1, a)) for a, b in fibers]
     support = list(seifertq.rt._support(bstars, r))
-    # gamma survives when, for every fiber, gamma + b* or gamma - b* is a multiple of d = gcd(r, a)
+    # gamma survives when, for every fiber, the literal Gauss sum at (gamma + b*) or (gamma - b*) mod a is nonzero
+    nonzero = [
+        (a, bstar, {t for t, h in enumerate(literal_gauss(a, bstar, r)) if abs(h) >= 0.5}) for a, bstar in bstars
+    ]
     brute = {
         gamma
         for gamma in range(1, r)
-        if all((gamma + bstar) % math.gcd(r, a) == 0 or (gamma - bstar) % math.gcd(r, a) == 0 for a, bstar in bstars)
+        if all((gamma + bstar) % a in ts or (gamma - bstar) % a in ts for a, bstar, ts in nonzero)
     }
     assert len(support) == len(set(support))
     assert set(support) == brute
+
+
+def test_gauss_sums_vanish_exactly_off_the_nonzero_class():
+    # every a <= 24, unit b* and odd r <= 2a + 9: H(t) != 0 exactly when t == t0 (mod D), and there |H|^2 = a D
+    eps = sys.float_info.epsilon
+    for a in range(1, 25):
+        for bstar in (b for b in range(a) if math.gcd(a, b) == 1):
+            for r in range(3, 2 * a + 10, 2):
+                _, modulus, t0 = _nonzero(a, r)
+                for t, h in enumerate(literal_gauss(a, bstar, r)):
+                    if t % modulus == t0:
+                        assert abs(abs(h) ** 2 - a * modulus) <= 8 * eps * a * a, (a, bstar, r, t)
+                    else:
+                        assert abs(h) < 1e-9 * a, (a, bstar, r, t)
+                occurring = {(gamma + sign * bstar) % a for gamma in range(1, r) for sign in (1, -1)}
+                assert set(_gauss_table(a, bstar, r)) == {t for t in occurring if t % modulus == t0}
+
+
+def test_z_direct_sums_nothing_where_every_gamma_meets_a_vanishing_gauss_sum(monkeypatch):
+    supports, _ = _record_support_and_phases(monkeypatch)
+    # (2, 1) is nonzero at even gamma only and (4, 1) at odd gamma only, so the support is empty
+    z = z_direct(SeifertSymbol("o", 1, ((2, 1), (4, 1))), 101)
+    assert supports == [[]]
+    assert _bits(z.value) == _bits(0j)
+    assert z.term_count == 100 * 2**2 * 2 * 4
 
 
 # -- the level sum of sin^{-E} ------------------------------------------------------
