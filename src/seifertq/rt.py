@@ -31,15 +31,11 @@ Write F_j = conj(phi) H_j(gamma + b_j^*) - phi H_j(gamma - b_j^*), phi =
 exp(i pi gamma / (a_j r)), for fiber j's factor.  A mirrored fiber
 (a, -b mod a) has inverse -b^* and table conj(H), and H(-t) = H(t), so its
 factor is -conj(F): a mirrored pair contributes the real -|F|^2.  The fibers
-are therefore paired off once per symbol; each pair takes one table and the
-sign -1, and only the unpaired fibers take complex factors.  When only one
-of the pair's two entries is nonzero, |F|^2 is that entry's squared modulus
-and phi is not computed; at r = k lcm(a_j) with every a_j odd and >= 3 this
-is the case at every gamma.  An orientation double pairs every fiber and has
-e = 0, so its Z is a sum of real terms of the sign (-1)^n built from n
-tables, not 2n, and its RT is exactly real.
+are therefore paired off once per symbol; each pair takes the sign -1 and
+the real |F|^2, and only the unpaired fibers take complex factors.  An
+orientation double pairs every fiber and has e = 0, so its Z is a sum of
+real terms of the sign (-1)^n, and its RT is exactly real.
 
-H_j is tabulated once per pair or unpaired fiber, for the t that occur.
 Let d = gcd(r, a_j), which is gcd(r b_j^*, a_j), and c = a_j / d.  Writing
 m = m' + c m'' leaves the quadratic term blind to m'', so the sum over m''
 vanishes unless d | t, and
@@ -51,21 +47,31 @@ mod c.  Such a sum (Berndt-Evans-Williams, Gauss and Jacobi Sums, ch. 1) is
 never 0 for c odd; for c == 2 (mod 4) it is 0 exactly when t/d is even, and
 for c == 0 (mod 4) exactly when t/d is odd.  So H_j(t) != 0 exactly when
 t == t0 (mod D), with (D, t0) = (d, 0) for c odd and (2d, a_j/2 mod 2d) for
-c even, and there |H_j|^2 = a_j D (_nonzero).  A table holds that class only,
-at a cost of at most (a_j / d) min(a_j, r) terms.  A gamma has a nonzero
+c even, and there |H_j|^2 = a_j D (_nonzero).  A gamma has a nonzero
 factor for fiber j exactly when gamma == t0_j - mu_j b_j^* (mod D_j) for some
 mu_j; as 2 t0_j == 0 (mod D_j) the support S of the gamma where every fiber
 has one is one CRT fold over the fibers with D_j > 1, lifted by lcm(D_j).
 Only the gamma in S are summed, so a Z with S empty is an exact 0 rather
-than a sum of terms of order eps (eps^2 on a double).  Z costs O(|S| n)
-terms and |S| sines, plus O(sum_j (a_j / d_j) min(a_j, r)) over the tables
-built, plus one O(r) pass per (r, E) per process for the magnitude sum of
-sin^{-E} over every gamma, which depends on the level and the exponent
-E = n + a_eps g - 2 only and is cached.
-At a level coprime to every a_j, all odd, S is all of 1..r-1 and the loop's
-own sines give that sum.  When a_j | r, as for every fiber of a double at
-r = k lcm(a_j), the table is the single exact entry H_j(t) = a_j [t == 0 mod
-a_j], and S is the k lifts of the gamma of the congruence system below.
+than a sum of terms of order eps (eps^2 on a double).
+
+For a pair with d > 1, d is odd and prime to b^*, so 2 b^* != 0 (mod D): at
+each gamma of S exactly one of H(gamma +- b^*) is nonzero, and |F|^2 is the
+integer a_j D.  Such pairs take no table and no work per gamma: they
+multiply into one integer C = prod a_j D_j that weighs every term.  For a
+pair with d = 1, D is 1 or 2, so both entries are nonzero on S.  H_j is
+tabulated once per pair with d = 1 and per unpaired fiber, on its class
+among the t that occur, at a cost of at most (a_j / d) min(a_j, r) terms.
+When no table, no Euler phase and no sign (-1)^{gamma a_eps g} remain, as on
+every double at r = k lcm(a_j) (d = a_j), Z is the fsum of +-C sin^{-E}(pi
+gamma / r) over S, with no loop over gamma.  Z costs O(|S| n) terms and |S|
+sines, plus O(sum_j (a_j / d_j) min(a_j, r)) over the tables built, plus one
+O(r) pass per (r, E) per process for the magnitude sum of sin^{-E} over
+every gamma, which depends on the level and the exponent E = n + a_eps g - 2
+only and is cached.  At a level coprime to every a_j, all odd, S is all of
+1..r-1 and the loop's own sines give that sum.  When a_j | r the table of an
+unpaired fiber is the single exact entry H_j(t) = a_j [t == 0 mod a_j]; on a
+double at r = k lcm(a_j), S is the k lifts of the gamma of the congruence
+system below.
 Every phase is exp(i pi num / den) for integers num and den, reduced modulo 2
 in integer arithmetic and exact at quarter turns, so the only rounding
 before exp is the one of num / den; every sum is accumulated with
@@ -101,10 +107,11 @@ This gives the closed form
 
 an exactly-zero value when the solution set B is empty, and a manifestly
 positive-or-negative real number otherwise.  It is the pair form above at
-r = kA, where each pair's |F|^2 is a_j^2 on the support and 0 off it.
-As r is odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma
-of B are the support at level A, and z_double_simplified scales the sum of
-_scales, z_direct's sin^{-E}, over their k lifts by (prod_j a_j)^2.
+r = kA, where each pair's |F|^2 is a_j D = a_j^2 on the support.  As r is
+odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma of B are
+the support at level A, and z_double_simplified sums C _scales, z_direct's
+terms with C = (prod_j a_j)^2, over their k lifts; the two are equal
+whenever C < 2^53, so that the float C is exact.
 """
 
 from __future__ import annotations
@@ -180,8 +187,6 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     With d = gcd(r, a), H(t) = d sum_{m in Z_{a/d}} exp(-2 pi i ((t/d) m + (r b^*/d) m^2) / (a/d))
     on the class t == t0 (mod D) of _nonzero; the t that occur are (gamma +- b^*) mod a, 0 < gamma < r.
     """
-    if r % a == 0:
-        return {0: complex(a)}  # d = a: one term, and only t = 0 occurs
     d, modulus, t0 = _nonzero(a, r)
     reduced, quad = a // d, r * bstar % a // d
     if r > a:
@@ -230,47 +235,49 @@ def _scale_sum(r: int, exponent: int) -> float:
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Per level it costs one Gauss table per mirrored pair and per unpaired
-    fiber, O(|S| n) terms and |S| sines, where S is the set of gamma at which
-    every fiber has a nonzero Gauss sum (_support), plus one O(r) pass per
-    (r, E) per process for the magnitude sum (_scale_sum); e, E, the pairs
-    and the b^* come from the symbol's _plan.
+    Per level it costs one Gauss table per unpaired fiber and per mirrored
+    pair with gcd(r, a) = 1, O(|S| n) terms and |S| sines, where S is the set
+    of gamma at which every fiber has a nonzero Gauss sum (_support), plus
+    one O(r) pass per (r, E) per process for the magnitude sum (_scale_sum);
+    e, E, the pairs and the b^* come from the symbol's _plan.  A pair with
+    gcd(r, a) > 1 costs one integer product, and where nothing else depends
+    on gamma (every double at r = kA) there is no loop over S.
     """
     _require_symbol(symbol)
     _require_level(r)
     if symbol.boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
-    pair_tables, fibers = (
-        [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in part] for part in (pairs, unpaired)
-    )
+    # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: one integer factor, and no table
+    constant = math.prod(a * _nonzero(a, r)[1] for a, _ in pairs if math.gcd(r, a) > 1)
+    pair_tables = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in pairs if math.gcd(r, a) == 1]
+    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in unpaired]
     support = _support(pairs + unpaired, r)  # at each of its gamma every table has a nonzero entry
     scales = _scales(support, r, exponent)
-    flip = len(pairs) % 2  # each pair contributes -|F|^2
-
-    terms = []
-    for gamma, scale in zip(support, scales):
-        term = -scale if (gamma & odd_sign) ^ flip else scale
-        for a, bstar, table in pair_tables:
-            plus = table.get((gamma + bstar) % a, 0)
-            minus = table.get((gamma - bstar) % a, 0)
-            if plus and minus:
-                phase = _phase(gamma, a * r)
-                factor = phase.conjugate() * plus - phase * minus
-            else:
-                factor = plus or minus  # |F| = |H| when one entry is zero, so no phase is needed
-            term *= factor.real * factor.real + factor.imag * factor.imag
-        for a, bstar, table in fibers:
-            plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
-            phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
-            term *= phase.conjugate() * plus - phase * minus
-        terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
+    weight = float(-constant if len(pairs) % 2 else constant)  # each pair contributes -|F|^2
 
     # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
     magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
+    if not magnitude < math.inf:
+        value = magnitude  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
+    elif not (pair_tables or fibers or e_num or odd_sign):
+        value = complex(math.fsum(map(weight.__mul__, scales)))  # each term is weight sin^-E, of one sign
+    else:
+        terms = []
+        for gamma, scale in zip(support, scales):
+            term = -weight * scale if gamma & odd_sign else weight * scale
+            for a, bstar, table in pair_tables:  # gcd(r, a) = 1: both entries are nonzero on the support
+                phase = _phase(gamma, a * r)
+                factor = phase.conjugate() * table[(gamma + bstar) % a] - phase * table[(gamma - bstar) % a]
+                term *= factor.real * factor.real + factor.imag * factor.imag
+            for a, bstar, table in fibers:
+                plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
+                phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
+                term *= phase.conjugate() * plus - phase * minus
+            terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
+        value = _fsum_complex(terms)
     return InvariantValue(
-        # magnitude bounds every |term|; past the float range fsum could meet inf - inf
-        value=_fsum_complex(terms) if magnitude < math.inf else magnitude,
+        value=value,
         r=r,
         method="direct",
         term_count=(r - 1) * per_gamma,
@@ -320,9 +327,8 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     n = len(symbol.fibers)
     lifts = [gamma + p * A for gamma in gammas for p in range(k)]
     # a sine power past the float range raises OverflowError, which _in_float_range rejects
-    total = float(math.prod(a for a, _ in symbol.fibers)) ** 2 * math.fsum(
-        _scales(lifts, r, 2 * n + 2 * symbol.a_eps * symbol.genus - 2)
-    )
+    weight = float(math.prod(a for a, _ in symbol.fibers) ** 2)  # z_direct's constant for the double's pairs
+    total = math.fsum(map(weight.__mul__, _scales(lifts, r, 2 * n + 2 * symbol.a_eps * symbol.genus - 2)))
     return InvariantValue(
         value=-total if n % 2 else total,
         r=r,

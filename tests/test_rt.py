@@ -191,18 +191,28 @@ def full_loop_z(symbol, r):
 def symbols_at_levels(draw):
     """A closed symbol (n <= 4, a <= 15, unit fibers, repeated moduli) and an odd level r.
 
-    The level is of one of three kinds: r = k lcm(a_j) with every a_j odd; r
-    coprime to every a_j; or r < max a_j, where a Gauss table is built from
-    the residues that occur.
+    The level is of one of four kinds: r = k lcm(a_j) with every a_j odd; r
+    coprime to every a_j; r < max a_j, where a Gauss table is built from
+    the residues that occur; or r > max a_j with 1 < gcd(r, a_0) < a_0, where
+    a_0 (odd or even) may come with its mirror, so that the pair takes the
+    constant a D in place of a table.
     """
-    kind = draw(st.sampled_from(("multiple", "coprime", "below")))
+    kind = draw(st.sampled_from(("multiple", "coprime", "below", "shares")))
     multiplicities = range(1, 16, 2) if kind == "multiple" else range(1, 16)
     pool = draw(st.lists(st.sampled_from(multiplicities), min_size=1, max_size=3))
-    moduli = draw(st.lists(st.sampled_from(pool), min_size=1 if kind == "below" else 0, max_size=4))
+    moduli = draw(st.lists(st.sampled_from(pool), min_size=1 if kind in ("below", "shares") else 0, max_size=4))
     if kind == "below":
         moduli[0] = draw(st.integers(4, 15))
+    elif kind == "shares":
+        moduli[0] = draw(st.sampled_from((6, 9, 10, 12, 14, 15)))  # each has an odd prime factor p < a
     fibers = tuple((a, draw(st.sampled_from([b for b in range(-a, 2 * a + 1) if math.gcd(a, b) == 1]))) for a in moduli)
-    if kind == "multiple":
+    if kind == "shares":
+        if draw(st.booleans()):
+            fibers += ((moduli[0], -fibers[0][1]),)  # the mirror of fiber 0
+        top = max(moduli)
+        levels = range(top + 1, 3 * top + 10)
+        r = draw(st.sampled_from([r for r in levels if r % 2 and 1 < math.gcd(r, moduli[0]) < moduli[0]]))
+    elif kind == "multiple":
         modulus = math.lcm(*moduli)
         r = draw(st.sampled_from([k * modulus for k in (1, 3) if k * modulus >= 3]))
     elif kind == "coprime":
@@ -230,7 +240,8 @@ def test_z_direct_equals_full_loop(case):
     # which round to a few a eps, and sums each H over every m in Z_a rather than Z_{a/d}
     vanishing = any(abs(h) < 0.5 for a, b in symbol.fibers for h in literal_gauss(a, pow(b, -1, a), r))
     if _pair_off(symbol.fibers)[0] or vanishing:
-        # a mirrored pair takes the real -|F|^2 for its two complex factors: the same terms, rounded otherwise
+        # a mirrored pair takes the real -|F|^2 for its two complex factors, the integer -a D where gcd(r, a) > 1:
+        # the same terms, rounded otherwise
         assert _fields(cold)[1:] == _fields(want)[1:]
         assert abs(cold.value - want.value) <= 4 * sys.float_info.epsilon * want.term_magnitude_sum
     else:
@@ -264,8 +275,8 @@ def test_z_direct_sums_only_the_surviving_gamma(monkeypatch):
     surviving = sorted(p * 45 + t for p in range(9) for t in (1, 44))
     assert len(surviving) == 2 * 9
     assert [sorted(support) for support in supports] == [surviving]
-    # the pair (45, 1), (45, -1) has one table {0: 45}, so at each gamma one of its entries is zero and
-    # |F|^2 = 45^2 needs no phase exp(i pi gamma / (45 r)); e = 0 needs no Euler phase exp(0 / 2r) either
+    # gcd(r, 45) = 45, so the pair (45, 1), (45, -1) takes |F|^2 = 45^2 with no table and no phase
+    # exp(i pi gamma / (45 r)); e = 0 needs no Euler phase exp(0 / 2r) either
     assert [(num, den) for num, den in phases if den in (45 * r, 2 * r)] == []
 
 
@@ -315,6 +326,21 @@ def test_gauss_sums_vanish_exactly_off_the_nonzero_class():
                         assert abs(h) < 1e-9 * a, (a, bstar, r, t)
                 occurring = {(gamma + sign * bstar) % a for gamma in range(1, r) for sign in (1, -1)}
                 assert set(_gauss_table(a, bstar, r)) == {t for t in occurring if t % modulus == t0}
+
+
+def test_mirrored_pair_sharing_a_factor_with_r_has_modulus_a_d_on_its_support():
+    # with d = gcd(r, a) > 1, 2 b* != 0 (mod D), so at each gamma of the support exactly one of H(gamma +- b*)
+    # is nonzero and the literal |F|^2 = |H|^2 is the integer a D that z_direct multiplies in
+    eps = sys.float_info.epsilon
+    for a in range(2, 31):
+        for r in (r for r in range(3, 2 * a + 10, 2) if math.gcd(r, a) > 1):
+            _, modulus, _ = _nonzero(a, r)
+            for bstar in (b for b in range(a) if math.gcd(a, b) == 1):
+                table = literal_gauss(a, bstar, r)
+                for gamma in seifertq.rt._support([(a, bstar)], r):
+                    phase = _phase(gamma, a * r)
+                    factor = phase.conjugate() * table[(gamma + bstar) % a] - phase * table[(gamma - bstar) % a]
+                    assert abs(abs(factor) ** 2 - a * modulus) <= 8 * eps * a * a, (a, bstar, r, gamma)
 
 
 def test_z_direct_sums_nothing_where_every_gamma_meets_a_vanishing_gauss_sum(monkeypatch):
@@ -626,12 +652,32 @@ def _single_gamma(call, gamma):
 @settings(deadline=None, max_examples=50)
 @given(symbol=bounded_symbols(), r=st.sampled_from(range(3, 80, 2)))
 def test_double_sums_terms_of_one_sign(symbol, r):
-    # Z(D(M)) = (-1)^n sum_gamma sin^-E prod_j |F_j|^2: restricted to one gamma, z_direct returns that term
+    # Z(D(M)) = (-1)^n sum_gamma sin^-E prod_j |F_j|^2: restricted to one gamma, z_direct returns that term;
+    # off the support a pair with gcd(r, a) > 1 builds no table to return 0 from, so only the support is summed
     doubled, sign = double(symbol), (-1) ** len(symbol.fibers)
     total = z_direct(doubled, r).value
-    terms = [_single_gamma(lambda: z_direct(doubled, r), gamma).value for gamma in range(1, r)]
+    support = seifertq.rt._support([(a, pow(b, -1, a)) for a, b in doubled.fibers], r)
+    terms = [_single_gamma(lambda: z_direct(doubled, r), gamma).value for gamma in support]
     assert all(term.imag == 0.0 and sign * term.real >= 0.0 for term in terms)
     assert math.fsum(term.real for term in terms) == total.real
+
+
+def _count_gauss_tables(monkeypatch):
+    """Record the (a, b*, r) of each Gauss table z_direct builds."""
+    calls, table = [], seifertq.rt._gauss_table
+
+    def counting(a, bstar, r):
+        calls.append((a, bstar, r))
+        return table(a, bstar, r)
+
+    monkeypatch.setattr(seifertq.rt, "_gauss_table", counting)
+    return calls
+
+
+def test_bounded_tv_with_gcd_of_three_builds_no_gauss_table(monkeypatch):
+    calls = _count_gauss_tables(monkeypatch)
+    tv_bounded(SeifertSymbol("o", 1, ((15, 1),), boundary=True), 21)  # gcd(21, 15) = 3 < 15
+    assert calls == []
 
 
 @st.composite
@@ -643,13 +689,23 @@ def odd_modulus_symbols(draw):
     return SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 2)), tuple(fibers), boundary=True)
 
 
+@settings(deadline=None, max_examples=30)
+@given(symbol=odd_modulus_symbols(), k=st.sampled_from((1, 3)))
+def test_double_at_a_multiple_of_a_builds_no_gauss_table(symbol, k):
+    # at r = kA every pair of the double has gcd(r, a) = a > 1
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_gauss_tables(patch)
+        z_direct(double(symbol), k * math.lcm(*(a for a, _ in symbol.fibers)))
+    assert calls == []
+
+
 @settings(deadline=None)
 @given(symbol=odd_modulus_symbols(), k=st.sampled_from((1, 3)))
 def test_simplified_matches_direct_property(symbol, k):
     r = k * math.lcm(*(a for a, _ in symbol.fibers))
-    direct = z_direct(double(symbol), r)
-    simplified = z_double_simplified(symbol, r)
-    assert abs(direct.value - simplified.value) <= 1e-14 * direct.term_magnitude_sum
+    # (prod a_j)^2 < 2^53, so both are the fsum of the same multiset of (prod a_j)^2 sin^-E(pi gamma / r)
+    direct = z_direct(double(symbol), r).value
+    assert (direct.real, direct.imag) == (z_double_simplified(symbol, r).value, 0.0)
 
 
 @settings(deadline=None)
