@@ -58,9 +58,10 @@ For a pair with d > 1, d is odd and prime to b^*, so 2 b^* != 0 (mod D): at
 each gamma of S exactly one of H(gamma +- b^*) is nonzero, and |F|^2 is the
 integer a_j D.  Such pairs take no table and no work per gamma: they
 multiply into one integer C = prod a_j D_j that weighs every term.  For a
-pair with d = 1, D is 1 or 2, so both entries are nonzero on S.  H_j is
-tabulated once per pair with d = 1 and per unpaired fiber, on its class
-among the t that occur, at a cost of at most (a_j / d) min(a_j, r) terms.
+pair with d = 1, D is 1 or 2, so both entries are nonzero on S.  Such pairs
+and the unpaired fibers share one F_j(gamma), from a table of H_j on its class
+among the t that occur, built for at most (a_j / d) min(a_j, r) terms; a pair
+multiplies each term by |F_j|^2, an unpaired fiber by F_j.
 When no table, no Euler phase and no sign (-1)^{gamma a_eps g} remain, as on
 every double at r = k lcm(a_j) (d = a_j), Z is the fsum of +-C sin^{-E}(pi
 gamma / r) over S, with no loop over gamma.  Z costs O(|S| n) terms and |S|
@@ -250,8 +251,9 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
     # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: one integer factor, and no table
     constant = math.prod(a * _nonzero(a, r)[1] for a, _ in pairs if math.gcd(r, a) > 1)
-    pair_tables = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in pairs if math.gcd(r, a) == 1]
-    fibers = [(a, bstar, _gauss_table(a, bstar, r)) for a, bstar in unpaired]
+    # a pair with gcd(r, a) = 1 multiplies |F|^2 and an unpaired fiber F; pairs first, as (a, b^*, table, paired)
+    tables = [(a, bstar, _gauss_table(a, bstar, r), True) for a, bstar in pairs if math.gcd(r, a) == 1]
+    tables += [(a, bstar, _gauss_table(a, bstar, r), False) for a, bstar in unpaired]
     support = _support(pairs + unpaired, r)  # at each of its gamma every table has a nonzero entry
     scales = _scales(support, r, exponent)
     weight = float(-constant if len(pairs) % 2 else constant)  # each pair contributes -|F|^2
@@ -260,20 +262,17 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
     if not magnitude < math.inf:
         value = magnitude  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
-    elif not (pair_tables or fibers or e_num or odd_sign):
+    elif not (tables or e_num or odd_sign):
         value = complex(math.fsum(map(weight.__mul__, scales)))  # each term is weight sin^-E, of one sign
     else:
         terms = []
         for gamma, scale in zip(support, scales):
             term = -weight * scale if gamma & odd_sign else weight * scale
-            for a, bstar, table in pair_tables:  # gcd(r, a) = 1: both entries are nonzero on the support
-                phase = _phase(gamma, a * r)
-                factor = phase.conjugate() * table[(gamma + bstar) % a] - phase * table[(gamma - bstar) % a]
-                term *= factor.real * factor.real + factor.imag * factor.imag
-            for a, bstar, table in fibers:
-                plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
+            for a, bstar, table, paired in tables:
                 phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
-                term *= phase.conjugate() * plus - phase * minus
+                plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
+                factor = phase.conjugate() * plus - phase * minus
+                term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
             terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
         value = _fsum_complex(terms)
     return InvariantValue(
@@ -311,30 +310,21 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """Z of the orientation double of a bounded symbol, via its congruence set.
 
     Requires a bounded symbol with at least one fiber, every a_j >= 2, and a
-    level r that is an odd multiple of A = lcm(a_j).
+    level r that is an odd multiple of A = lcm(a_j).  An empty B gives +0.0, with a warning.
     """
     A, k, gammas = _double_setup(symbol, r)
-    if not gammas:
-        return InvariantValue(
-            value=0.0,
-            r=r,
-            method="simplified",
-            term_count=0,
-            term_magnitude_sum=0.0,
-            warnings=("empty congruence solution set; the sum vanishes identically",),
-        )
-
     n = len(symbol.fibers)
     lifts = [gamma + p * A for gamma in gammas for p in range(k)]
     # a sine power past the float range raises OverflowError, which _in_float_range rejects
-    weight = float(math.prod(a for a, _ in symbol.fibers) ** 2)  # z_direct's constant for the double's pairs
-    total = math.fsum(map(weight.__mul__, _scales(lifts, r, 2 * n + 2 * symbol.a_eps * symbol.genus - 2)))
+    weight = float((-1) ** n * math.prod(a for a, _ in symbol.fibers) ** 2)  # z_direct's weight for the double's pairs
+    value = math.fsum(map(weight.__mul__, _scales(lifts, r, 2 * n + 2 * symbol.a_eps * symbol.genus - 2)))
     return InvariantValue(
-        value=-total if n % 2 else total,
+        value=value,
         r=r,
         method="simplified",
         term_count=len(lifts),
-        term_magnitude_sum=total,
+        term_magnitude_sum=abs(value),
+        warnings=() if gammas else ("empty congruence solution set; the sum vanishes identically",),
     )
 
 
@@ -390,7 +380,7 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[7:]
     prefactor = _phase(num, 2 * r * den) * (p2_sign * float(r) ** p2_power / p2_den) * p3
     return InvariantValue(
-        value=prefactor * z.value,
+        value=prefactor * z.value + 0j,  # -0.0 + 0.0 is +0.0: a part that is zero is +0.0, whatever P2's sign
         r=r,
         method="rt",
         term_count=z.term_count,

@@ -10,9 +10,9 @@ the value is its real part.  Since RT(D(M)) is real, TV(D(M)) = TV(M)^2.
 
 from __future__ import annotations
 
-from .errors import DomainError, _in_float_range
+from .errors import _in_float_range
 from .rt import InvariantValue, rt_closed
-from .symbols import SeifertSymbol, _require_symbol, double
+from .symbols import SeifertSymbol, double
 
 __all__ = ["tv_closed", "tv_bounded"]
 
@@ -25,9 +25,6 @@ def tv_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
 
 def tv_bounded(symbol: SeifertSymbol, r: int) -> InvariantValue:
-    """RT of the orientation double of a bounded symbol; real, and in float range once rt_closed is."""
-    _require_symbol(symbol)
-    if not symbol.boundary:
-        raise DomainError("tv_bounded expects a symbol with boundary; use tv_closed")
+    """RT of the orientation double of a bounded symbol, which is real; its errors are double's and rt_closed's."""
     rt = rt_closed(double(symbol), r)
     return InvariantValue(rt.value.real, rt.r, "tv-bounded", rt.term_count, rt.term_magnitude_sum, rt.warnings)

@@ -230,6 +230,8 @@ def _fields(z):
 
 @settings(deadline=None)
 @given(case=symbols_at_levels())
+# a pair with gcd(r, a) = 1, an unpaired fiber, e != 0 and the sign (-1)^gamma all in one loop: Z ~ -707 - 889i
+@example(case=(SeifertSymbol("n", 1, ((7, 2), (7, 5), (5, 1))), 9))
 def test_z_direct_equals_full_loop(case):
     symbol, r = case
     _plan.cache_clear()
@@ -638,8 +640,23 @@ def bounded_symbols(draw):
 
 @settings(deadline=None)
 @given(symbol=bounded_symbols(), r=st.sampled_from(range(3, 80, 2)))
+@example(symbol=SeifertSymbol("o", 1, ((3, 1),), boundary=True), r=15)  # P2's sign -1 meets one pair's real Z < 0
 def test_rt_of_a_double_is_exactly_real(symbol, r):
-    assert rt_closed(double(symbol), r).value.imag == 0.0
+    imag = rt_closed(double(symbol), r).value.imag
+    assert (imag, math.copysign(1.0, imag)) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        lambda: rt_closed(SeifertSymbol("n", 1), 5).value.real,
+        lambda: tv_bounded(SeifertSymbol("o", 1, ((5, 1), (5, 3), (5, 1)), boundary=True), 5).value,
+    ],
+    ids=["rt-no-fibers-real", "tv-bounded-empty-support"],
+)
+def test_rt_parts_that_are_zero_are_positive_zero(part):
+    value = part()
+    assert (value, math.copysign(1.0, value)) == (0.0, 1.0)
 
 
 def _single_gamma(call, gamma):
@@ -745,14 +762,14 @@ def test_simplified_frozen_anchor():
 
 
 def test_empty_solution_set_gives_exact_zero():
-    symbol = SeifertSymbol("o", 1, ((5, 1), (5, 3)), boundary=True)
-    got = z_double_simplified(symbol, 5)
-    assert got.value == 0.0
-    assert got.term_count == 0
-    assert any("empty" in w for w in got.warnings)
-    # and the direct sum cancels to rounding noise
-    direct = z_direct(double(symbol), 5)
-    assert abs(direct.value) < 1e-9 * direct.term_magnitude_sum
+    # n = 2 and n = 3: the weight (-1)^n (prod a_j)^2 takes either sign, and an fsum of no terms is +0.0
+    for fibers in (((5, 1), (5, 3)), ((5, 1), (5, 3), (5, 1))):
+        symbol = SeifertSymbol("o", 1, fibers, boundary=True)
+        got = z_double_simplified(symbol, 5)
+        assert (got.value, math.copysign(1.0, got.value), got.term_count, got.term_magnitude_sum) == (0.0, 1.0, 0, 0.0)
+        assert got.warnings == ("empty congruence solution set; the sum vanishes identically",)
+        # the double's support is empty as well, so the direct sum is an exact 0, not rounding noise
+        assert z_direct(double(symbol), 5).value == 0
 
 
 def test_simplified_preconditions():

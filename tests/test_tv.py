@@ -72,7 +72,8 @@ def test_tv_closed_is_an_exact_zero_where_z_vanishes(symbol, r):
 
 
 def test_tv_bounded_requires_boundary():
-    with pytest.raises(DomainError):
+    # double checks the boundary, once for the whole tv_bounded -> rt_closed -> z_direct route
+    with pytest.raises(DomainError, match=r"^double\(\) requires a symbol with boundary$"):
         tv_bounded(SeifertSymbol("o", 1, ((3, 1),)), 5)
 
 
