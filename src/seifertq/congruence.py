@@ -21,7 +21,9 @@ the prefix an integer whose bits are the signs taken.  With
 g = gcd(M, a_j), merging in fiber j needs the inverse of M/g modulo a_j/g,
 which does not depend on the signs, so the fold inverts once per fiber,
 drops a prefix as soon as it is incompatible, and costs in proportion to
-the surviving partial solutions.  The involution flips mu_1, so the fold
+the surviving partial solutions.  Its test that g divides the gap is the
+pairwise compatibility criterion mu_s b_s* == mu_t b_t* (mod gcd(a_s, a_t))
+against the fibers merged so far.  The involution flips mu_1, so the fold
 holds mu_1 = +1, which leaves at most 2^(n-1) prefixes, and each solution
 it finds brings its mirror (A - gamma, -mu).
 
@@ -60,13 +62,11 @@ import math
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, NonInvertibleError, NumericInconsistencyError, _is_int
+from .errors import DomainError, NumericInconsistencyError, _is_int
 
 __all__ = [
-    "mod_inverse",
     "dedekind_sum",
     "system_modulus",
-    "solve_system",
     "CongruenceCertificate",
     "enumerate_solutions",
     "SystemClassification",
@@ -75,21 +75,6 @@ __all__ = [
 ]
 
 Fiber = tuple[int, int]
-
-
-def mod_inverse(b: int, a: int) -> int:
-    """Inverse of b modulo a, reduced into {0, ..., a-1}; 0 when a = 1.
-
-    Requires integers (not bools) b and a >= 1.
-    """
-    if not (_is_int(b) and _is_int(a)):
-        raise DomainError(f"mod_inverse needs integer arguments, got ({b!r}, {a!r})")
-    if a < 1:
-        raise DomainError(f"modulus must be >= 1, got {a}")
-    try:
-        return pow(b, -1, a)
-    except ValueError as exc:
-        raise NonInvertibleError(f"{b} is not invertible modulo {a}") from exc
 
 
 def _fiber(a: int, b: int) -> None:
@@ -155,18 +140,18 @@ def system_modulus(fibers: Iterable[Fiber]) -> int:
     return math.lcm(*(a for a, _ in _fibers(fibers)))
 
 
-def _crt_fold(constraints: Sequence[Fiber], fixed: int = 1) -> tuple[list[tuple[int, int]], int]:
+def _crt_fold(constraints: Sequence[Fiber]) -> tuple[list[tuple[int, int]], int]:
     """Solutions (gamma mod M, mask) of gamma + mu_j b_j* == 0 (mod a_j), and M = lcm(a_j) if any survive.
 
-    The first ``fixed`` fibers take mu_j = +1 only, the others both signs; the mask has one
-    bit per fiber, the first fiber's the highest, set where mu_j = +1.
+    The first fiber takes mu_1 = +1 only, the others both signs, and callers add each mirror (-gamma, -mu);
+    the mask has one bit per fiber, the first fiber's the highest, set where mu_j = +1.
     """
     partial, modulus = [(0, 0)], 1
     for j, (a, bstar) in enumerate(constraints):
         g = math.gcd(modulus, a)
         reduced = a // g
         lift_inverse = pow(modulus // g % reduced, -1, reduced)  # M/g and a/g are coprime
-        plus, both = -bstar % a, j >= fixed  # gamma == -b* (mod a) for mu = +1 and b* for mu = -1
+        plus, both = -bstar % a, j > 0  # gamma == -b* (mod a) for mu = +1 and b* for mu = -1
         merged = []
         for residue, mask in partial:
             mask <<= 1
@@ -187,26 +172,6 @@ def _crt_fold(constraints: Sequence[Fiber], fixed: int = 1) -> tuple[list[tuple[
 def _mu(mask: int, n: int) -> tuple[int, ...]:
     """The sign vector of an n-fiber mask of _crt_fold, built once per (mask, n) per process."""
     return tuple(1 if mask >> k & 1 else -1 for k in reversed(range(n)))
-
-
-def solve_system(fibers: Iterable[Fiber], mu: Iterable[int]) -> Optional[tuple[int, int]]:
-    """Solve gamma + mu_j b_j* == 0 (mod a_j) for all j by the CRT fold.
-
-    Returns (gamma, A) with gamma the least non-negative solution modulo
-    A = lcm(a_j), or None when the system is incompatible.  Compatibility of
-    a pair of congruences is the pairwise condition
-    mu_s b_s* == mu_t b_t* (mod gcd(a_s, a_t)); the fold, here with one
-    allowed sign per fiber, realizes exactly that criterion.
-    """
-    pairs, mu = _fibers(fibers), tuple(mu)
-    if len(mu) != len(pairs):
-        raise DomainError(f"sign vector length {len(mu)} != fiber count {len(pairs)}")
-    if any(m not in (1, -1) for m in mu):
-        raise DomainError(f"sign vector entries must be +-1, got {mu}")
-    # one sign per fiber: the fold's congruence for mu_j = +1, with mu_j b_j* in place of b_j*
-    constraints = [(a, m * pow(b, -1, a)) for (a, b), m in zip(pairs, mu)]
-    solutions, modulus = _crt_fold(constraints, fixed=len(constraints))
-    return (solutions[0][0], modulus) if solutions else None
 
 
 class CongruenceCertificate(NamedTuple):

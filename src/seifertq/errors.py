@@ -19,7 +19,6 @@ __all__ = [
     "MalformedInputError",
     "TriangulationError",
     "DomainError",
-    "NonInvertibleError",
     "DegenerateSystemError",
     "NumericInconsistencyError",
 ]
@@ -47,10 +46,6 @@ class DomainError(SeifertQError, ValueError):
     """Semantically invalid input or violated precondition."""
 
     exit_code = 4
-
-
-class NonInvertibleError(DomainError):
-    """Modular inverse requested for a non-coprime residue."""
 
 
 class DegenerateSystemError(DomainError):

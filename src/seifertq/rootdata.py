@@ -52,7 +52,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError, _in_float_range, _is_int, _require_level
@@ -81,14 +80,14 @@ def _two_sin_two_pi(n: int, r: int) -> float:
     {r - n} = -{n} bit for bit, and small levels hit correctly rounded
     algebraic values (at r = 3, {1} equals math.sqrt(3), so eta = 1.0).
     """
-    x = Fraction(2 * n, r) % 2  # the angle is pi * x with x in [0, 2)
+    m = 2 * n % (2 * r)  # the angle is pi * m / r with 0 <= m < 2r
     sign = 1.0
-    if x >= 1:  # sin(pi (1 + t)) = -sin(pi t)
-        x -= 1
+    if m >= r:  # sin(pi (1 + t)) = -sin(pi t)
+        m -= r
         sign = -1.0
-    if 2 * x > 1:  # sin(pi (1 - t)) = sin(pi t)
-        x = 1 - x
-    return sign * 2.0 * math.sin(math.pi * float(x))
+    if 2 * m > r:  # sin(pi (1 - t)) = sin(pi t)
+        m = r - m
+    return sign * 2.0 * math.sin(math.pi * (m / r))
 
 
 class RootContext:

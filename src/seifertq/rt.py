@@ -186,14 +186,13 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     """H(t) = sum_{m in Z_a} exp(-2 pi i (t m + r b^* m^2) / a) for the t that occur where H(t) != 0.
 
     With d = gcd(r, a), H(t) = d sum_{m in Z_{a/d}} exp(-2 pi i ((t/d) m + (r b^*/d) m^2) / (a/d))
-    on the class t == t0 (mod D) of _nonzero; the t that occur are (gamma +- b^*) mod a, 0 < gamma < r.
+    on the class t == t0 (mod D) of _nonzero; the t that occur are (gamma +- b^*) mod a, 0 < gamma < r,
+    and the gamma <= a among them already meet every residue modulo a.
     """
     d, modulus, t0 = _nonzero(a, r)
     reduced, quad = a // d, r * bstar % a // d
-    if r > a:
-        ts = range(t0, a, modulus)
-    else:
-        ts = {t for gamma in range(1, r) for t in ((gamma + bstar) % a, (gamma - bstar) % a) if t % modulus == t0}
+    gammas = range(1, min(r, a + 1))
+    ts = {t for gamma in gammas for t in ((gamma + bstar) % a, (gamma - bstar) % a) if t % modulus == t0}
     roots = [cmath.exp(-2j * math.pi * k / reduced) for k in range(reduced)]
     return {
         t: d * _fsum_complex([roots[(t // d * m + quad * m * m) % reduced] for m in range(reduced)])

@@ -13,7 +13,7 @@ and one theta per face class; ``rootdata`` writes Tet and theta in the
 quantum factorials {n}!, each with one factor zeta^{-1}.  Squared six-j
 symbols factor as Tet^2 over the four face thetas, so distributing one theta
 to each face class reproduces the square of the usual vertex normalization
-while keeping every term real.
+while keeping every term real.  Every color in I_r is even, so (-1)^{c(e)} = 1.
 
 Colorings are enumerated by backtracking over edge classes in index order,
 pruning as soon as any face class has all three edges colored but fails
@@ -83,8 +83,7 @@ def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
     for coloring in enumerate_admissible_colorings(tri, ctx):
         weight = 1.0
         for color in coloring:
-            factor = qint[color + 1] / zeta
-            weight *= -factor if color % 2 else factor
+            weight *= qint[color + 1] / zeta
         for slots in tet_slots:
             weight *= tet_symbol(ctx, *(coloring[s] for s in slots))
         for i, j, k in faces:

@@ -19,13 +19,10 @@ from hypothesis import strategies as st
 from seifertq import (
     CongruenceCertificate,
     DomainError,
-    NonInvertibleError,
     NumericInconsistencyError,
     classify_system,
     dedekind_sum,
     enumerate_solutions,
-    mod_inverse,
-    solve_system,
     system_modulus,
 )
 from seifertq import congruence
@@ -94,35 +91,6 @@ def coprime_pairs(max_a):
         for b in range(-2 * a, 2 * a + 1)
         if math.gcd(a, b) == 1
     ]
-
-
-# -- mod_inverse ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("a", [2, 3, 5, 7, 12, 30])
-def test_mod_inverse_inverts(a):
-    for b in range(1, a):
-        if math.gcd(a, b) == 1:
-            inv = mod_inverse(b, a)
-            assert 0 <= inv < a
-            assert (b * inv) % a == 1
-
-
-def test_mod_inverse_trivial_modulus():
-    assert mod_inverse(7, 1) == 0
-
-
-def test_mod_inverse_rejects_non_coprime():
-    with pytest.raises(NonInvertibleError):
-        mod_inverse(4, 6)
-    with pytest.raises(DomainError):
-        mod_inverse(1, 0)
-
-
-@pytest.mark.parametrize("b, a", [(1.0, 3), (1, 3.0), (True, 3), (1, True), ("1", 3)])  # not an int, or a bool
-def test_mod_inverse_rejects_non_integers(b, a):
-    with pytest.raises(DomainError):
-        mod_inverse(b, a)
 
 
 # -- dedekind sums ---------------------------------------------------------------
@@ -236,39 +204,6 @@ def test_dedekind_rejects_bad_input():
             dedekind_sum(b, a)
 
 
-# -- solve_system ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "fibers",
-    [
-        ((3, 1), (5, 1)),
-        ((5, 1), (5, 3)),
-        ((5, 1), (5, 4)),
-        ((4, 1), (6, 1)),
-        ((2, 1), (3, 2), (5, 4)),
-        ((9, 2), (6, 5)),
-    ],
-)
-def test_solve_system_matches_brute_force(fibers):
-    for mu in product((1, -1), repeat=len(fibers)):
-        expected = brute_solutions(fibers, mu)
-        got = solve_system(fibers, mu)
-        if not expected:
-            assert got is None
-        else:
-            gamma, modulus = got
-            assert modulus == math.lcm(*(a for a, _ in fibers))
-            assert expected == [gamma]  # CRT solution is unique modulo A
-
-
-def test_solve_system_validates_mu():
-    with pytest.raises(DomainError):
-        solve_system(((3, 1),), (1, 1))
-    with pytest.raises(DomainError):
-        solve_system(((3, 1),), (2,))
-
-
 def test_system_modulus():
     assert system_modulus(((3, 1), (5, 1))) == 15
     assert system_modulus(((4, 1), (6, 1))) == 12
@@ -285,7 +220,7 @@ def test_system_modulus():
         lambda: classify_system([(3,)]),
         lambda: system_modulus([(2.5, 1)]),
         lambda: enumerate_solutions([(True, 1), (3, 1)]),
-        lambda: solve_system([(3, 1.0)], (1,)),
+        lambda: classify_system([(3, 1.0)]),
     ],
     ids=["string-entry", "none", "not-a-pair", "float-multiplicity", "bool-multiplicity", "float-b"],
 )
@@ -394,19 +329,6 @@ def test_solution_set_closed_under_involution_property(fibers):
         assert (cert.modulus - gamma, tuple(-m for m in mu)) in members
 
 
-@given(data=st.data())
-def test_solve_system_matches_brute_force_property(data):
-    fibers = data.draw(fiber_lists())
-    mu = data.draw(st.tuples(*(st.sampled_from((1, -1)) for _ in fibers)))
-    expected = brute_solutions(fibers, mu)
-    got = solve_system(fibers, mu)
-    if expected:
-        assert got == (expected[0], math.lcm(*(a for a, _ in fibers)))
-        assert len(expected) == 1
-    else:
-        assert got is None
-
-
 # -- classification ----------------------------------------------------------------
 
 
@@ -460,16 +382,12 @@ def test_iterator_examples_read_once():
     # an iterator of fibers used to be read twice, so the moduli read after the fold were empty
     assert classify_system(iter([(3, 1), (3, 1)])).case == "equal-moduli"
     assert classify_system(f for f in ((4, 1), (6, 1))).case == "pairwise-gcd"
-    assert solve_system((f for f in ((3, 1), (5, 1))), iter((1, -1))) == solve_system(((3, 1), (5, 1)), (1, -1))
 
 
-@given(data=st.data())
-def test_iterator_and_list_give_the_same_result_property(data):
-    fibers = data.draw(fiber_lists())
-    mu = data.draw(st.tuples(*(st.sampled_from((1, -1)) for _ in fibers)))
+@given(fibers=fiber_lists())
+def test_iterator_and_list_give_the_same_result_property(fibers):
     assert classify_system(iter(fibers)) == classify_system(list(fibers))
     assert enumerate_solutions(iter(fibers)) == enumerate_solutions(list(fibers))
-    assert solve_system(iter(fibers), iter(mu)) == solve_system(list(fibers), list(mu))
 
 
 def test_certificate_serialization():

@@ -70,6 +70,17 @@ def test_subcommand_skips_dataclasses(argv, uses_rootdata):
     assert ("seifertq.rootdata" in modules) == uses_rootdata
 
 
+def test_sixj_loads_neither_fractions_nor_decimal():
+    # rootdata reduces its angles in integers, so six-j symbols need no exact rationals
+    loaded = _run(
+        "import json, sys\n"
+        "from seifertq.cli import main\n"
+        "assert main(['sixj', '--r', '7', '2', '2', '2', '2', '2', '2']) == 0\n"
+        "print(json.dumps([name for name in ('fractions', 'decimal') if name in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
 def test_private_names_do_not_load_the_package():
     modules, _ = _loaded_after("import seifertq\nassert not hasattr(seifertq, '__wrapped__')")
     assert set(modules) <= {"seifertq", "seifertq.errors"}
