@@ -98,8 +98,8 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
     TV_r is tv_closed of a closed symbol and tv_bounded of a bounded one.
-    All levels share the evaluated symbol's level-independent RT data
-    (rt._plan).
+    All levels share the symbol's level-independent RT data (rt._plan) and,
+    at r = kA, the fold of its congruence system (rt._residues).
 
     Returns the samples and, when at least two distinct levels are given,
     the least-squares slope of log |TV_r| against log r (None otherwise).

@@ -64,15 +64,16 @@ among the t that occur, built for at most (a_j / d) min(a_j, r) terms; a pair
 multiplies each term by |F_j|^2, an unpaired fiber by F_j.
 When no table, no Euler phase and no sign (-1)^{gamma a_eps g} remain, as on
 every double at r = k lcm(a_j) (d = a_j), Z is the fsum of +-C sin^{-E}(pi
-gamma / r) over S, with no loop over gamma.  Z costs O(|S| n) terms and |S|
-sines, plus O(sum_j (a_j / d_j) min(a_j, r)) over the tables built, plus one
-O(r) pass per (r, E) per process for the magnitude sum of sin^{-E} over
-every gamma, which depends on the level and the exponent E = n + a_eps g - 2
-only and is cached.  At a level coprime to every a_j, all odd, S is all of
-1..r-1 and the loop's own sines give that sum.  When a_j | r the table of an
-unpaired fiber is the single exact entry H_j(t) = a_j [t == 0 mod a_j]; on a
-double at r = k lcm(a_j), S is the k lifts of the gamma of the congruence
-system below.
+gamma / r) over S, with no loop over gamma.  Z costs one pass over the
+fibers, O(|S| n) terms and |S| sines, plus O(sum_j (a_j / d_j) min(a_j, r))
+over the tables built, plus one O(r) pass per (r, E) per process for the
+magnitude sum of sin^{-E} over every gamma, which depends on the level and
+the exponent E = n + a_eps g - 2 only and is cached, plus one CRT fold per
+constraint system per process.  At a level coprime to every a_j, all odd, S
+is all of 1..r-1 and the loop's own sines give that sum.  When a_j | r the
+table of an unpaired fiber is the single exact entry H_j(t) = a_j [t == 0
+mod a_j]; on a double at r = k lcm(a_j), S is the k lifts of the gamma of
+the congruence system below.
 Every phase is exp(i pi num / den) for integers num and den, reduced modulo 2
 in integer arithmetic and exact at quarter turns, so the only rounding
 before exp is the one of num / den; every sum is accumulated with
@@ -90,11 +91,12 @@ half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
 When P2's denominator leaves the float range, RT is nan and rt_closed
 raises DomainError rather than return the 0 of a division by inf.
 
-Only the tables, the support, the sines, the loop, P1's phase and P2's
-power of r depend on the level.  Everything else (e, E, the pairing, the
-b_j^*, the Dedekind sums and P1's exponent, P2's other factors, P3) is built
-once per closed symbol per process by _plan, a cache bounded at 256 symbols,
-so a symbol evaluated at many levels pays for it once.
+Only the tables, the lifts of S, the sines, the loop, P1's phase and P2's
+power of r depend on the level.  The rest (e, E, the pairing, the b_j^*, the
+Dedekind sums and P1's exponent, P2's other factors, P3) is built once per
+closed symbol per process by _plan, and S's residues modulo lcm(D_j) once per
+constraint system per process by _residues, each a cache of 256 entries; at
+r = k lcm(a_j) the system is the same for every k, so a scan pays once.
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -200,24 +202,21 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     }
 
 
-def _support(bstars: list[tuple[int, int]], r: int) -> Sequence[int]:
-    """The gamma in 1..r-1 at which every fiber (a, b^*) has a nonzero H((gamma +- b^*) mod a), in no set order.
-
-    With (D, t0) of _nonzero that is gamma == t0 -+ b^* == -+(b^* - t0) (mod D), as 2 t0 == 0 (mod D).
-    """
-    constraints = set()  # fibers whose (D, +-(b^* - t0) mod D) agree give one constraint
-    for a, bstar in bstars:
-        _, D, t0 = _nonzero(a, r)
-        if D > 1:
-            constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
+def _support(constraints: frozenset[tuple[int, int]], r: int) -> Sequence[int]:
+    """The gamma in 1..r-1 with gamma == +-c (mod D) for each constraint (D, c) of z_direct, residue by residue."""
     if not constraints:
         return range(1, r)
-    half, modulus = _crt_fold(list(constraints))
-    # the fold holds the first sign at +1, and the mirror -gamma of each residue brings the other;
-    # a set, so that each gamma comes once however many sign vectors reach it; a residue 0 lifts from modulus
-    residues = {t for t, _ in half}
-    residues.update([-t % modulus for t in residues])
+    residues, modulus = _residues(constraints)  # only the lifts depend on r; a residue 0 lifts from modulus
     return [gamma for residue in residues for gamma in range(residue or modulus, r, modulus)]
+
+
+@functools.lru_cache(maxsize=256)
+def _residues(constraints: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """The sorted gamma modulo M = lcm(D) of _support, and M: one _crt_fold per system per process."""
+    half, modulus = _crt_fold(list(constraints))
+    residues = {t for t, _ in half}  # a set: each gamma comes once, however many sign vectors reach it
+    residues.update([-t % modulus for t in residues])  # the fold holds the first sign at +1; the mirrors bring -1
+    return tuple(sorted(residues)), modulus
 
 
 def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
@@ -235,25 +234,30 @@ def _scale_sum(r: int, exponent: int) -> float:
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Per level it costs one Gauss table per unpaired fiber and per mirrored
-    pair with gcd(r, a) = 1, O(|S| n) terms and |S| sines, where S is the set
-    of gamma at which every fiber has a nonzero Gauss sum (_support), plus
-    one O(r) pass per (r, E) per process for the magnitude sum (_scale_sum);
-    e, E, the pairs and the b^* come from the symbol's _plan.  A pair with
-    gcd(r, a) > 1 costs one integer product, and where nothing else depends
-    on gamma (every double at r = kA) there is no loop over S.
+    Per level: one pass over the fibers, a Gauss table per unpaired fiber and
+    per mirrored pair with gcd(r, a) = 1, O(|S| n) terms and |S| sines on the
+    support S (_support), and one O(r) pass per (r, E) per process for the
+    magnitude sum (_scale_sum).  e, E, the pairs and the b^* come from _plan,
+    S's residues from one fold per constraint system (_residues).  A pair
+    with gcd(r, a) > 1 costs one integer product, and where nothing else
+    depends on gamma (every double at r = kA) there is no loop over S.
     """
     _require_symbol(symbol)
     _require_level(r)
     if symbol.boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
-    # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: one integer factor, and no table
-    constant = math.prod(a * _nonzero(a, r)[1] for a, _ in pairs if math.gcd(r, a) > 1)
-    # a pair with gcd(r, a) = 1 multiplies |F|^2 and an unpaired fiber F; pairs first, as (a, b^*, table, paired)
-    tables = [(a, bstar, _gauss_table(a, bstar, r), True) for a, bstar in pairs if math.gcd(r, a) == 1]
-    tables += [(a, bstar, _gauss_table(a, bstar, r), False) for a, bstar in unpaired]
-    support = _support(pairs + unpaired, r)  # at each of its gamma every table has a nonzero entry
+    constant, tables, constraints = 1, [], set()
+    for paired, part in ((True, pairs), (False, unpaired)):
+        for a, bstar in part:
+            d, D, t0 = _nonzero(a, r)
+            if paired and d > 1:  # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: no table
+                constant *= a * D
+            else:  # a pair multiplies |F|^2 and an unpaired fiber F; pairs first, as (a, b^*, table, paired)
+                tables.append((a, bstar, _gauss_table(a, bstar, r), paired))
+            if D > 1:  # H((gamma -+ b^*) mod a) != 0 at gamma == +-(b^* - t0) (mod D), as 2 t0 == 0 (mod D)
+                constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
+    support = _support(frozenset(constraints), r)  # at each of its gamma every table has a nonzero entry
     scales = _scales(support, r, exponent)
     weight = float(-constant if len(pairs) % 2 else constant)  # each pair contributes -|F|^2
 
@@ -286,7 +290,7 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
 def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, Sequence[int]]:
     """Check the preconditions the simplified form and the growth bound share.
 
-    Returns (A, k, gammas) with r = k A and gammas the gamma of B, each once: z_direct's support at level A.
+    Returns (A, k, gammas) with r = k A and gammas the gamma of B, each once: z_direct's residues at level A.
     """
     _require_symbol(symbol)
     _require_level(r)
@@ -300,8 +304,8 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, Sequence[int
     A = math.lcm(*(a for a, _ in symbol.fibers))
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
-    # every a_j divides the odd r, so it is odd and >= 3 and b^* != -b^* (mod a_j): each gamma of B has one mu
-    return A, r // A, _support([(a, pow(b, -1, a)) for a, b in symbol.fibers], A)
+    # each a_j | r is odd and >= 3, so a gamma of B has one mu; at A, (D, t0) = (a_j, 0), and a residue is its one lift
+    return A, r // A, _residues(frozenset((a, min(pow(b, -1, a), pow(-b, -1, a))) for a, b in symbol.fibers))[0]
 
 
 @_in_float_range

@@ -203,9 +203,9 @@ def symbol_from_dict(data: Any) -> SeifertSymbol:
         raise MalformedInputError("fibers must be a list of [a, b] pairs")
     pairs = []
     for entry in fibers:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(_is_int, entry)):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise MalformedInputError(f"bad fiber entry {entry!r}")
-        pairs.append((entry[0], entry[1]))
+        pairs.append(entry)
     genus = data["genus"]
     if not _is_int(genus):
         raise MalformedInputError(f"genus must be an integer, got {genus!r}")
@@ -213,7 +213,13 @@ def symbol_from_dict(data: Any) -> SeifertSymbol:
         raise MalformedInputError("boundary must be true or false")
     if not isinstance(data["epsilon"], str):
         raise MalformedInputError(f"epsilon must be a string, got {data['epsilon']!r}")
-    return SeifertSymbol(data["epsilon"], genus, pairs, data["boundary"])
+    try:
+        return SeifertSymbol(data["epsilon"], genus, pairs, data["boundary"])
+    except DomainError:  # the fiber rule is the one integer test of an entry: one not of two integers is malformed
+        for entry in pairs:
+            if not all(map(_is_int, entry)):
+                raise MalformedInputError(f"bad fiber entry {entry!r}") from None
+        raise
 
 
 def symbol_to_json(symbol: SeifertSymbol) -> str:

@@ -114,6 +114,7 @@ def test_ltv_scan_builds_one_double_per_level(monkeypatch):
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
     monkeypatch.setattr(seifertq.tv, "double", counting_double)
     seifertq.rt._plan.cache_clear()
+    seifertq.rt._residues.cache_clear()
     samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
     # tv_bounded builds the double at each level from ANCHOR's checked fibers, so no fiber is checked again
     assert doubles == [ANCHOR] * 3
@@ -161,9 +162,49 @@ def test_ltv_scan_samples_are_tv_values_property(symbol, levels):
 
 def test_scan_and_lemma_build_one_plan():
     seifertq.rt._plan.cache_clear()
+    seifertq.rt._residues.cache_clear()
     ltv_scan(ANCHOR, [15, 45, 75])
     verify_lemma(ANCHOR, 15)
     assert seifertq.rt._plan.cache_info().misses == 1
+
+
+def _clear_caches():
+    for cache in (seifertq.rt._plan, seifertq.rt._scale_sum, seifertq.rt._residues):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        ANCHOR,
+        SeifertSymbol("n", 2, ((9, 2),), boundary=True),
+        # (5, 1) and (5, 4), b^* = 1 and 4 = -1 (mod 5), give the one constraint (5, 1)
+        SeifertSymbol("o", 2, ((5, 1), (5, 4), (3, 2)), boundary=True),
+    ],
+    ids=["anchor", "one-fiber", "shared-constraint"],
+)
+def test_scan_and_lemma_fold_the_congruences_once(monkeypatch, symbol):
+    # at r = kA the double's constraints (a_j, +-b_j^*) are the same for every k, and at A they are the bound's
+    A = system_modulus(symbol.fibers)
+    levels = [A, 3 * A, 5 * A, 7 * A]
+    fold, folds = seifertq.rt._crt_fold, []
+
+    def counting(constraints):
+        folds.append(sorted(constraints))
+        return fold(constraints)
+
+    for module in (seifertq.rt, seifertq.congruence):
+        monkeypatch.setattr(module, "_crt_fold", counting)
+    _clear_caches()
+    samples, _ = ltv_scan(symbol, levels)
+    check = verify_lemma(symbol, A)
+    assert len(folds) == 1
+    monkeypatch.undo()
+    # a fold reused from the cache gives the floats of a fold done from cold, at every level
+    for sample in samples:
+        _clear_caches()
+        assert sample.tv_value == tv_bounded(symbol, sample.r).value
+    assert check.tv_bounded_value == samples[0].tv_value
 
 
 def test_ltv_scan_decreases_toward_zero():

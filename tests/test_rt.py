@@ -43,7 +43,7 @@ from seifertq import (
     z_direct,
     z_double_simplified,
 )
-from seifertq.rt import _fsum_complex, _gauss_table, _nonzero, _pair_off, _phase, _plan, _scale_sum
+from seifertq.rt import _fsum_complex, _gauss_table, _nonzero, _pair_off, _phase, _plan, _residues, _scale_sum
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -236,6 +236,7 @@ def test_z_direct_equals_full_loop(case):
     symbol, r = case
     _plan.cache_clear()
     _scale_sum.cache_clear()
+    _residues.cache_clear()
     cold, warm, want = z_direct(symbol, r), z_direct(symbol, r), full_loop_z(symbol, r)
     assert _fields(cold) == _fields(warm)
     # z_direct skips the Gauss sums that vanish by its exact rule; the full loop keeps their literal sums,
@@ -256,8 +257,8 @@ def _record_support_and_phases(monkeypatch):
     supports, phases = [], Counter()
     support, phase = seifertq.rt._support, seifertq.rt._phase
 
-    def recording_support(bstars, r):
-        supports.append(list(support(bstars, r)))
+    def recording_support(constraints, r):
+        supports.append(list(support(constraints, r)))
         return supports[-1]
 
     def counting_phase(num, den):
@@ -267,6 +268,14 @@ def _record_support_and_phases(monkeypatch):
     monkeypatch.setattr(seifertq.rt, "_support", recording_support)
     monkeypatch.setattr(seifertq.rt, "_phase", counting_phase)
     return supports, phases
+
+
+def _support_of(symbol, r):
+    """The support z_direct sums over for a closed symbol at level r, from the constraints its fiber pass builds."""
+    with pytest.MonkeyPatch.context() as patch:
+        supports, _ = _record_support_and_phases(patch)
+        z_direct(symbol, r)
+    return supports[0]
 
 
 def test_z_direct_sums_only_the_surviving_gamma(monkeypatch):
@@ -300,7 +309,7 @@ def _coprime_fiber(a):
 @example(fibers=[(2, 1), (4, 1)], r=9)  # even gamma for (2, 1), odd for (4, 1): none survives
 def test_support_matches_brute_force_property(fibers, r):
     bstars = [(a, pow(b, -1, a)) for a, b in fibers]
-    support = list(seifertq.rt._support(bstars, r))
+    support = _support_of(SeifertSymbol("o", 1, tuple(fibers)), r)
     # gamma survives when, for every fiber, the literal Gauss sum at (gamma + b*) or (gamma - b*) mod a is nonzero
     nonzero = [
         (a, bstar, {t for t, h in enumerate(literal_gauss(a, bstar, r)) if abs(h) >= 0.5}) for a, bstar in bstars
@@ -339,7 +348,8 @@ def test_mirrored_pair_sharing_a_factor_with_r_has_modulus_a_d_on_its_support():
             _, modulus, _ = _nonzero(a, r)
             for bstar in (b for b in range(a) if math.gcd(a, b) == 1):
                 table = literal_gauss(a, bstar, r)
-                for gamma in seifertq.rt._support([(a, bstar)], r):
+                b = pow(bstar, -1, a)
+                for gamma in _support_of(SeifertSymbol("o", 1, ((a, b), (a, -b))), r):
                     phase = _phase(gamma, a * r)
                     factor = phase.conjugate() * table[(gamma + bstar) % a] - phase * table[(gamma - bstar) % a]
                     assert abs(abs(factor) ** 2 - a * modulus) <= 8 * eps * a * a, (a, bstar, r, gamma)
@@ -388,6 +398,7 @@ def test_z_direct_computes_sines_only_at_its_support(monkeypatch):
     calls = _count_sines(monkeypatch)
     _plan.cache_clear()
     _scale_sum.cache_clear()
+    _residues.cache_clear()
     z_direct(double_45, 405)
     assert len(calls) == 18 + 404  # the 2 * 9 gamma of the support, then the level sum once
     calls.clear()
@@ -515,9 +526,11 @@ def test_plan_built_at_one_level_serves_another(symbol, levels):
     first, second = levels
     for evaluate in (z_direct, rt_closed):
         _plan.cache_clear()
+        _residues.cache_clear()
         evaluate(symbol, first)
         warm = evaluate(symbol, second)
         _plan.cache_clear()
+        _residues.cache_clear()
         assert _fields(warm) == _fields(evaluate(symbol, second))
 
 
@@ -662,7 +675,7 @@ def test_rt_parts_that_are_zero_are_positive_zero(part):
 def _single_gamma(call, gamma):
     """call() with z_direct's support replaced by the single gamma given."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seifertq.rt, "_support", lambda bstars, r: [gamma])
+        patch.setattr(seifertq.rt, "_support", lambda constraints, r: [gamma])
         return call()
 
 
@@ -673,7 +686,7 @@ def test_double_sums_terms_of_one_sign(symbol, r):
     # off the support a pair with gcd(r, a) > 1 builds no table to return 0 from, so only the support is summed
     doubled, sign = double(symbol), (-1) ** len(symbol.fibers)
     total = z_direct(doubled, r).value
-    support = seifertq.rt._support([(a, pow(b, -1, a)) for a, b in doubled.fibers], r)
+    support = _support_of(doubled, r)
     terms = [_single_gamma(lambda: z_direct(doubled, r), gamma).value for gamma in support]
     assert all(term.imag == 0.0 and sign * term.real >= 0.0 for term in terms)
     assert math.fsum(term.real for term in terms) == total.real
@@ -797,8 +810,9 @@ def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
         folds.append(sorted(constraints))
         return original(constraints, *args)
 
-    monkeypatch.setattr(seifertq.rt, "_crt_fold", counting)  # the binding _support calls
+    monkeypatch.setattr(seifertq.rt, "_crt_fold", counting)  # the binding _residues calls
     monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
+    _residues.cache_clear()
     evaluate(ANCHOR_SYMBOL, 15)
     assert folds == [[(3, 1), (5, 1)]]  # one fold over the (a, b*) of the symbol's fibers, none checked again
     assert checked == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import seifertq
 import seifertq.congruence
+import seifertq.symbols
 from seifertq import (
     DomainError,
     MalformedInputError,
@@ -257,6 +258,9 @@ def test_json_round_trip():
         '{"epsilon": "o", "genus": 1, "fibers": [null], "boundary": true}',
         '{"epsilon": "o", "genus": 1, "fibers": [[3, true]], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [[true, 0]], "boundary": false}',
+        # a non-integer entry is malformed (exit 3) even where another field is invalid (exit 4)
+        '{"epsilon": "q", "genus": 1, "fibers": [[3, 1], [5, 2.0]], "boundary": false}',
+        '{"epsilon": "o", "genus": 0, "fibers": [[4, 2], ["3", 1]], "boundary": false}',
         '{"epsilon": "o", "genus": 1.5, "fibers": [], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [], "boundary": "yes"}',
         '{"epsilon": 1, "genus": 1, "fibers": [], "boundary": false}',
@@ -273,6 +277,10 @@ def test_malformed_symbol_json_rejected(data):
 def test_semantically_bad_symbol_is_domain_error():
     with pytest.raises(DomainError):
         symbol_from_json('{"epsilon": "q", "genus": 1, "fibers": [], "boundary": false}')
+    # entries of two integers that break the fiber rule are invalid fibers (exit 4), not malformed input
+    for fibers in ("[[4, 2]]", "[[0, 1]]"):
+        with pytest.raises(DomainError):
+            symbol_from_json(f'{{"epsilon": "o", "genus": 1, "fibers": {fibers}, "boundary": false}}')
 
 
 def test_symbol_from_json_checks_each_fiber_once(monkeypatch):
@@ -284,6 +292,16 @@ def test_symbol_from_json_checks_each_fiber_once(monkeypatch):
     for derive in (double, normalize, reverse_orientation):
         derive(symbol)
     assert checked == []
+
+
+def test_symbol_from_json_tests_each_fiber_entry_once(monkeypatch):
+    # the JSON loop checks each entry's shape, and the fiber rule is the one test of its integers
+    fiber, is_int, checked, tested = seifertq.congruence._fiber, seifertq.symbols._is_int, [], []
+    monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
+    monkeypatch.setattr(seifertq.symbols, "_is_int", lambda x: tested.append(x) or is_int(x))
+    symbol_from_json('{"epsilon": "o", "genus": 2, "fibers": [[7, 3], [11, -4], [7, 3]], "boundary": true}')
+    assert checked == [(7, 3), (11, -4), (7, 3)]
+    assert [x for x in tested if x != 2] == []  # the genus, not a fiber entry
 
 
 # -- the symbol guard -------------------------------------------------------------
