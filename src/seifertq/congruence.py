@@ -213,7 +213,7 @@ def _certificate(pairs: Sequence[Fiber]) -> Optional[CongruenceCertificate]:
     """enumerate_solutions of fibers that _fiber has already checked."""
     n = len(pairs)
     if all(a == 1 for a, _ in pairs):
-        return CongruenceCertificate(gamma=0, mu=(1,) * n, modulus=1, set_b=(), degenerate=True)
+        return CongruenceCertificate(0, (1,) * n, 1, (), True)
     half, modulus = _crt_fold([(a, pow(b, -1, a)) for a, b in pairs])
     if not half:
         return None
@@ -223,7 +223,7 @@ def _certificate(pairs: Sequence[Fiber]) -> Optional[CongruenceCertificate]:
         solutions += ((gamma, _mu(mask, n)), (modulus - gamma, _mu(mask ^ full, n)))
     solutions.sort()
     gamma, mu = solutions[0]
-    return CongruenceCertificate(gamma=gamma, mu=mu, modulus=modulus, set_b=tuple(solutions))
+    return CongruenceCertificate(gamma, mu, modulus, tuple(solutions))
 
 
 class SystemClassification(NamedTuple):
@@ -263,9 +263,7 @@ def classify_system(fibers: Iterable[Fiber]) -> SystemClassification:
         case = "equal-moduli"
     else:
         case = "pairwise-gcd"
-    return SystemClassification(
-        case=case, certificate=certificate, warnings=tuple(warnings)
-    )
+    return SystemClassification(case, certificate, tuple(warnings))
 
 
 def certificate_to_dict(certificate: CongruenceCertificate) -> dict[str, Any]:

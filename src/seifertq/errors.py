@@ -23,7 +23,8 @@ __all__ = [
     "NumericInconsistencyError",
 ]
 
-_INEXACT = (float, complex)  # the field types _in_float_range checks
+# the field types _in_float_range checks, tested by exact type: the package builds only builtin floats and complexes
+_INEXACT = frozenset((float, complex))
 
 
 class SeifertQError(Exception):
@@ -78,7 +79,7 @@ def _in_float_range(evaluate):
         except ArithmeticError:  # OverflowError, or ZeroDivisionError from a divisor that underflowed to 0
             result = float("inf")
         for x in result if isinstance(result, tuple) else (result,):
-            if isinstance(x, _INEXACT) and not cmath.isfinite(x):
+            if type(x) in _INEXACT and not cmath.isfinite(x):
                 raise DomainError(f"{evaluate.__name__}: the value exceeds the float range")
         return result
 

@@ -85,7 +85,7 @@ def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
     """
     bound = lower_bound(symbol, r)
     tv = tv_bounded(symbol, r).value
-    return LemmaCheck(bound=bound, tv_bounded_value=tv, tv_closed_double_value=tv**2)
+    return LemmaCheck(bound, tv, tv**2)
 
 
 class LtvSample(NamedTuple):
@@ -116,7 +116,7 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
         value = tv(symbol, r).value
         if value == 0.0:
             raise DomainError(f"invariant vanishes at r={r}; LTV is undefined")
-        samples.append(LtvSample(r=r, tv_value=value, ltv=2.0 * math.pi / r * math.log(abs(value))))
+        samples.append(LtvSample(r, value, 2.0 * math.pi / r * math.log(abs(value))))
 
     slope: float | None = None
     if len(set(levels)) >= 2:

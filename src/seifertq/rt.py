@@ -64,10 +64,11 @@ among the t that occur, built for at most (a_j / d) min(a_j, r) terms; a pair
 multiplies each term by |F_j|^2, an unpaired fiber by F_j.
 When no table, no Euler phase and no sign (-1)^{gamma a_eps g} remain, as on
 every double at r = k lcm(a_j) (d = a_j), Z is the fsum of +-C sin^{-E}(pi
-gamma / r) over S, with no loop over gamma.  Z costs one pass over the
-fibers, O(|S| n) terms and |S| sines, plus O(sum_j (a_j / d_j) min(a_j, r))
-over the tables built, plus one O(r) pass per (r, E) per process for the
-magnitude sum of sin^{-E} over every gamma, which depends on the level and
+gamma / r) over S, with no loop over gamma.  Z costs O(|S| n) terms and
+|S| sines, plus one pass over the fibers per residue class of r mod
+lcm(a_j) per process, plus O(sum_j (a_j / d_j) min(a_j, r)) over the
+tables built, plus one O(r) pass per (r, E) per process for the magnitude
+sum of sin^{-E} over every gamma, which depends on the level and
 the exponent E = n + a_eps g - 2 only and is cached, plus one CRT fold per
 constraint system per process.  At a level coprime to every a_j, all odd, S
 is all of 1..r-1 and the loop's own sines give that sum.  When a_j | r the
@@ -92,11 +93,15 @@ When P2's denominator leaves the float range, RT is nan and rt_closed
 raises DomainError rather than return the 0 of a division by inf.
 
 Only the tables, the lifts of S, the sines, the loop, P1's phase and P2's
-power of r depend on the level.  The rest (e, E, the pairing, the b_j^*, the
-Dedekind sums and P1's exponent, P2's other factors, P3) is built once per
-closed symbol per process by _plan, and S's residues modulo lcm(D_j) once per
-constraint system per process by _residues, each a cache of 256 entries; at
-r = k lcm(a_j) the system is the same for every k, so a scan pays once.
+power of r depend on the level itself.  The pass over the fibers (C, which
+fibers take tables, the constraints of S) depends on r only through the
+gcd(r, a_j), so it is built once per residue class of r mod A = lcm(a_j) by
+_fiber_class; the tables are still built at each level.  The rest (e, E, the
+pairing, the b_j^*, the Dedekind sums and P1's exponent, P2's other factors,
+P3, A) is built once per closed symbol per process by _plan, and S's residues
+modulo lcm(D_j) once per constraint system per process by _residues, each a
+cache of 256 entries; the levels r = k A of a scan share one class, so a scan
+pays for the pass and the fold once.
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -234,32 +239,25 @@ def _scale_sum(r: int, exponent: int) -> float:
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Per level: one pass over the fibers, a Gauss table per unpaired fiber and
-    per mirrored pair with gcd(r, a) = 1, O(|S| n) terms and |S| sines on the
-    support S (_support), and one O(r) pass per (r, E) per process for the
-    magnitude sum (_scale_sum).  e, E, the pairs and the b^* come from _plan,
-    S's residues from one fold per constraint system (_residues).  A pair
-    with gcd(r, a) > 1 costs one integer product, and where nothing else
-    depends on gamma (every double at r = kA) there is no loop over S.
+    Per level: a Gauss table per unpaired fiber and per mirrored pair with
+    gcd(r, a) = 1, O(|S| n) terms and |S| sines on the support S (_support),
+    and one O(r) pass per (r, E) per process for the magnitude sum
+    (_scale_sum).  e, E, the pairs and the b^* come from _plan; the pass over
+    the fibers is built once per residue class of r mod A = lcm(a_j)
+    (_fiber_class), and S's residues from one fold per constraint system
+    (_residues).  A pair with gcd(r, a) > 1 costs one integer product, and
+    where nothing else depends on gamma (every double at r = kA) there is no
+    loop over S.
     """
     _require_symbol(symbol)
     _require_level(r)
     if symbol.boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
-    e_num, e_den, exponent, odd_sign, pairs, unpaired, per_gamma = _plan(symbol)[:7]
-    constant, tables, constraints = 1, [], set()
-    for paired, part in ((True, pairs), (False, unpaired)):
-        for a, bstar in part:
-            d, D, t0 = _nonzero(a, r)
-            if paired and d > 1:  # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: no table
-                constant *= a * D
-            else:  # a pair multiplies |F|^2 and an unpaired fiber F; pairs first, as (a, b^*, table, paired)
-                tables.append((a, bstar, _gauss_table(a, bstar, r), paired))
-            if D > 1:  # H((gamma -+ b^*) mod a) != 0 at gamma == +-(b^* - t0) (mod D), as 2 t0 == 0 (mod D)
-                constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
-    support = _support(frozenset(constraints), r)  # at each of its gamma every table has a nonzero entry
+    e_num, e_den, exponent, odd_sign, per_gamma, modulus = _plan(symbol)[:6]
+    weight, tabled, constraints = _fiber_class(symbol, r % modulus)
+    tables = [(a, bstar, _gauss_table(a, bstar, r), paired) for a, bstar, paired in tabled]  # tables depend on r
+    support = _support(constraints, r)  # at each of its gamma every table has a nonzero entry
     scales = _scales(support, r, exponent)
-    weight = float(-constant if len(pairs) % 2 else constant)  # each pair contributes -|F|^2
 
     # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
     magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
@@ -278,13 +276,30 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
                 term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
             terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
         value = _fsum_complex(terms)
-    return InvariantValue(
-        value=value,
-        r=r,
-        method="direct",
-        term_count=(r - 1) * per_gamma,
-        term_magnitude_sum=magnitude,
-    )
+    return InvariantValue(value, r, "direct", (r - 1) * per_gamma, magnitude)
+
+
+@functools.lru_cache(maxsize=256)
+def _fiber_class(symbol: SeifertSymbol, residue: int) -> tuple[float, tuple, frozenset[tuple[int, int]]]:
+    """z_direct's pass over the fibers at every level r == residue (mod A): (weight, tabled, constraints).
+
+    It depends on r only through d = gcd(r, a_j) = gcd(residue, a_j), as a_j | A.  weight is -+C,
+    each pair contributing -|F|^2, with C the integer product of a D over the pairs with d > 1;
+    tabled holds the (a, b^*, paired) that take a Gauss table, pairs first, so products round in
+    one order; constraints are the (D, c) of _support.  Once per closed symbol and class per process.
+    """
+    pairs, unpaired = _plan(symbol)[6:8]
+    constant, tabled, constraints = 1, [], set()
+    for paired, part in ((True, pairs), (False, unpaired)):
+        for a, bstar in part:
+            d, D, t0 = _nonzero(a, residue)
+            if paired and d > 1:  # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: no table
+                constant *= a * D
+            else:  # a pair multiplies |F|^2 and an unpaired fiber F
+                tabled.append((a, bstar, paired))
+            if D > 1:  # H((gamma -+ b^*) mod a) != 0 at gamma == +-(b^* - t0) (mod D), as 2 t0 == 0 (mod D)
+                constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
+    return float(-constant if len(pairs) % 2 else constant), tuple(tabled), frozenset(constraints)
 
 
 def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, Sequence[int]]:
@@ -305,7 +320,9 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, Sequence[int
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
     # each a_j | r is odd and >= 3, so a gamma of B has one mu; at A, (D, t0) = (a_j, 0), and a residue is its one lift
-    return A, r // A, _residues(frozenset((a, min(pow(b, -1, a), pow(-b, -1, a))) for a, b in symbol.fibers))[0]
+    # the mirror's inverse pow(-b, -1, a) is a - b^*, as a >= 2
+    inverses = [(a, pow(b, -1, a)) for a, b in symbol.fibers]
+    return A, r // A, _residues(frozenset([(a, min(bstar, a - bstar)) for a, bstar in inverses]))[0]
 
 
 @_in_float_range
@@ -321,14 +338,8 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     # a sine power past the float range raises OverflowError, which _in_float_range rejects
     weight = float((-1) ** n * math.prod(a for a, _ in symbol.fibers) ** 2)  # z_direct's weight for the double's pairs
     value = math.fsum(map(weight.__mul__, _scales(lifts, r, 2 * n + 2 * symbol.a_eps * symbol.genus - 2)))
-    return InvariantValue(
-        value=value,
-        r=r,
-        method="simplified",
-        term_count=len(lifts),
-        term_magnitude_sum=abs(value),
-        warnings=() if gammas else ("empty congruence solution set; the sum vanishes identically",),
-    )
+    warnings = () if gammas else ("empty congruence solution set; the sum vanishes identically",)
+    return InvariantValue(value, r, "simplified", len(lifts), abs(value), warnings)
 
 
 def _pair_off(fibers: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -350,7 +361,7 @@ def _pair_off(fibers: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]
 def _plan(symbol: SeifertSymbol) -> tuple:
     """What z_direct and rt_closed need of a closed symbol at every level, as one tuple.
 
-    P1 = _phase(num, 2 r den) and P2 = sign * r**power / den at level r.
+    P1 = _phase(num, 2 r den) and P2 = sign * r**power / den at level r; A = lcm(a_j) keys _fiber_class.
     """
     fibers = symbol.fibers  # SeifertSymbol has checked every fiber, so pow and _dedekind check none
     n, a_eps, g = len(fibers), symbol.a_eps, symbol.genus
@@ -368,7 +379,8 @@ def _plan(symbol: SeifertSymbol) -> tuple:
     pairs, unpaired = (tuple((a, pow(b, -1, a)) for a, b in part) for part in (pairs, unpaired))
     # i^n from the table: past n = 100 the power 1j**n is taken through exp and log, and rounds
     p2_sign, p3 = (-1.0) ** (a_eps * g) * _QUARTER_PHASES[n % 4], _phase(3 * (1 - a_eps) * sign_e, 4)
-    return (euler.numerator, euler.denominator, n + a_eps * g - 2, a_eps * g % 2, pairs, unpaired, 2**n * prod_a,
+    return (euler.numerator, euler.denominator, n + a_eps * g - 2, a_eps * g % 2, 2**n * prod_a,
+            math.lcm(*(a for a, _ in fibers)), pairs, unpaired,
             x.numerator, x.denominator, p2_sign, (a_eps * g - 2) / 2, p2_den, p3)
 
 
@@ -380,15 +392,11 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     prefactor comes from the symbol's _plan.
     """
     z = z_direct(symbol, r)  # checks that symbol is a closed SeifertSymbol and r a level, and builds its plan
-    num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[7:]
+    num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[8:]
     prefactor = _phase(num, 2 * r * den) * (p2_sign * float(r) ** p2_power / p2_den) * p3
+    # -0.0 + 0.0 is +0.0: a part that is zero is +0.0, whatever P2's sign
     return InvariantValue(
-        value=prefactor * z.value + 0j,  # -0.0 + 0.0 is +0.0: a part that is zero is +0.0, whatever P2's sign
-        r=r,
-        method="rt",
-        term_count=z.term_count,
-        term_magnitude_sum=abs(prefactor) * z.term_magnitude_sum,
-        warnings=z.warnings,
+        prefactor * z.value + 0j, r, "rt", z.term_count, abs(prefactor) * z.term_magnitude_sum, z.warnings
     )
 
 

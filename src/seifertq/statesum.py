@@ -91,10 +91,5 @@ def tv_statesum(tri: Triangulation, r: int) -> InvariantValue:
         terms.append(weight)
 
     scale = ctx.eta ** (2 * tri.vertex_count)
-    return InvariantValue(
-        value=scale * math.fsum(terms),
-        r=r,
-        method="state-sum",
-        term_count=len(terms),
-        term_magnitude_sum=scale * math.fsum(abs(t) for t in terms),
-    )
+    magnitude = scale * math.fsum(abs(t) for t in terms)
+    return InvariantValue(scale * math.fsum(terms), r, "state-sum", len(terms), magnitude)

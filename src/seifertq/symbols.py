@@ -206,16 +206,15 @@ def symbol_from_dict(data: Any) -> SeifertSymbol:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise MalformedInputError(f"bad fiber entry {entry!r}")
         pairs.append(entry)
-    genus = data["genus"]
-    if not _is_int(genus):
-        raise MalformedInputError(f"genus must be an integer, got {genus!r}")
     if not isinstance(data["boundary"], bool):
         raise MalformedInputError("boundary must be true or false")
     if not isinstance(data["epsilon"], str):
         raise MalformedInputError(f"epsilon must be a string, got {data['epsilon']!r}")
     try:
-        return SeifertSymbol(data["epsilon"], genus, pairs, data["boundary"])
-    except DomainError:  # the fiber rule is the one integer test of an entry: one not of two integers is malformed
+        return SeifertSymbol(data["epsilon"], data["genus"], pairs, data["boundary"])
+    except DomainError:  # the constructor is the one integer test of genus and entries; a non-integer one is malformed
+        if not _is_int(data["genus"]):
+            raise MalformedInputError(f"genus must be an integer, got {data['genus']!r}") from None
         for entry in pairs:
             if not all(map(_is_int, entry)):
                 raise MalformedInputError(f"bad fiber entry {entry!r}") from None

@@ -100,7 +100,7 @@ def test_lemma_evaluates_rt_once(monkeypatch):
     assert calls == [(double(ANCHOR), 15)]
 
 
-def test_ltv_scan_builds_one_double_per_level(monkeypatch):
+def test_ltv_scan_builds_one_double_per_level(monkeypatch, clear_rt_caches):
     fiber, checked, doubles = seifertq.congruence._fiber, [], []
 
     def counting(a, b):
@@ -113,8 +113,7 @@ def test_ltv_scan_builds_one_double_per_level(monkeypatch):
 
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
     monkeypatch.setattr(seifertq.tv, "double", counting_double)
-    seifertq.rt._plan.cache_clear()
-    seifertq.rt._residues.cache_clear()
+    clear_rt_caches()
     samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
     # tv_bounded builds the double at each level from ANCHOR's checked fibers, so no fiber is checked again
     assert doubles == [ANCHOR] * 3
@@ -160,17 +159,13 @@ def test_ltv_scan_samples_are_tv_values_property(symbol, levels):
     assert [s.tv_value for s in samples] == values
 
 
-def test_scan_and_lemma_build_one_plan():
-    seifertq.rt._plan.cache_clear()
-    seifertq.rt._residues.cache_clear()
+def test_scan_and_lemma_build_one_plan(clear_rt_caches):
+    clear_rt_caches()
     ltv_scan(ANCHOR, [15, 45, 75])
     verify_lemma(ANCHOR, 15)
     assert seifertq.rt._plan.cache_info().misses == 1
-
-
-def _clear_caches():
-    for cache in (seifertq.rt._plan, seifertq.rt._scale_sum, seifertq.rt._residues):
-        cache.cache_clear()
+    # 15, 45 and 75 are all 0 (mod A = 15): one pass over the double's fibers serves the four evaluations
+    assert seifertq.rt._fiber_class.cache_info()[:2] == (3, 1)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +178,7 @@ def _clear_caches():
     ],
     ids=["anchor", "one-fiber", "shared-constraint"],
 )
-def test_scan_and_lemma_fold_the_congruences_once(monkeypatch, symbol):
+def test_scan_and_lemma_fold_the_congruences_once(monkeypatch, symbol, clear_rt_caches):
     # at r = kA the double's constraints (a_j, +-b_j^*) are the same for every k, and at A they are the bound's
     A = system_modulus(symbol.fibers)
     levels = [A, 3 * A, 5 * A, 7 * A]
@@ -195,14 +190,14 @@ def test_scan_and_lemma_fold_the_congruences_once(monkeypatch, symbol):
 
     for module in (seifertq.rt, seifertq.congruence):
         monkeypatch.setattr(module, "_crt_fold", counting)
-    _clear_caches()
+    clear_rt_caches()
     samples, _ = ltv_scan(symbol, levels)
     check = verify_lemma(symbol, A)
     assert len(folds) == 1
     monkeypatch.undo()
     # a fold reused from the cache gives the floats of a fold done from cold, at every level
     for sample in samples:
-        _clear_caches()
+        clear_rt_caches()
         assert sample.tv_value == tv_bounded(symbol, sample.r).value
     assert check.tv_bounded_value == samples[0].tv_value
 

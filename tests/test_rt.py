@@ -232,11 +232,9 @@ def _fields(z):
 @given(case=symbols_at_levels())
 # a pair with gcd(r, a) = 1, an unpaired fiber, e != 0 and the sign (-1)^gamma all in one loop: Z ~ -707 - 889i
 @example(case=(SeifertSymbol("n", 1, ((7, 2), (7, 5), (5, 1))), 9))
-def test_z_direct_equals_full_loop(case):
+def test_z_direct_equals_full_loop(case, clear_rt_caches):
     symbol, r = case
-    _plan.cache_clear()
-    _scale_sum.cache_clear()
-    _residues.cache_clear()
+    clear_rt_caches()
     cold, warm, want = z_direct(symbol, r), z_direct(symbol, r), full_loop_z(symbol, r)
     assert _fields(cold) == _fields(warm)
     # z_direct skips the Gauss sums that vanish by its exact rule; the full loop keeps their literal sums,
@@ -393,19 +391,17 @@ def _count_sines(monkeypatch):
     return calls
 
 
-def test_z_direct_computes_sines_only_at_its_support(monkeypatch):
+def test_z_direct_computes_sines_only_at_its_support(monkeypatch, clear_rt_caches):
     double_45 = double(SeifertSymbol("o", 1, ((45, 1),), boundary=True))
     calls = _count_sines(monkeypatch)
-    _plan.cache_clear()
-    _scale_sum.cache_clear()
-    _residues.cache_clear()
+    clear_rt_caches()
     z_direct(double_45, 405)
     assert len(calls) == 18 + 404  # the 2 * 9 gamma of the support, then the level sum once
     calls.clear()
     z_direct(double_45, 405)
     assert len(calls) == 18
     # 407 = 11 * 37 is coprime to 45: every gamma is summed and its sines give the level sum, cold or warm
-    _scale_sum.cache_clear()
+    clear_rt_caches()
     for _ in range(2):
         calls.clear()
         z_direct(double_45, 407)
@@ -522,16 +518,43 @@ def test_rt_closed_prefactor_matches_oracle_exactly(symbol, r):
 
 @settings(deadline=None)
 @given(symbol=mirrored_closed_symbols(), levels=st.lists(st.sampled_from(range(3, 30, 2)), min_size=2, max_size=2))
-def test_plan_built_at_one_level_serves_another(symbol, levels):
+def test_plan_built_at_one_level_serves_another(symbol, levels, clear_rt_caches):
     first, second = levels
     for evaluate in (z_direct, rt_closed):
-        _plan.cache_clear()
-        _residues.cache_clear()
+        clear_rt_caches()
         evaluate(symbol, first)
         warm = evaluate(symbol, second)
-        _plan.cache_clear()
-        _residues.cache_clear()
+        clear_rt_caches()
         assert _fields(warm) == _fields(evaluate(symbol, second))
+
+
+@st.composite
+def closed_symbols_at_two_levels(draw):
+    """Closed symbols with up to 3 fibers of multiplicity <= 25, some mirrored, either base, and two odd levels."""
+    coprime_b = lambda a: st.sampled_from([b for b in range(-a, 2 * a) if math.gcd(a, b) == 1])  # noqa: E731
+    fibers = [(a, draw(coprime_b(a))) for a in draw(st.lists(st.integers(1, 25), max_size=3))]
+    if fibers and len(fibers) < 3 and draw(st.booleans()):
+        fibers.append((fibers[0][0], -fibers[0][1]))  # a mirrored pair
+    symbol = SeifertSymbol(draw(st.sampled_from("on")), draw(st.integers(1, 2)), draw(st.permutations(fibers)))
+    levels = st.sampled_from(range(3, 52, 2))
+    return symbol, draw(levels), draw(levels)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=closed_symbols_at_two_levels())
+@example(case=(SeifertSymbol("o", 1, ((3, 1), (5, 2))), 7, 15))  # gcd(7, 15) = 1: both fibers build tables
+@example(case=(SeifertSymbol("n", 2, ((15, 2), (15, -2), (9, 4))), 3, 5))  # the pair has d = 3, then d = 5
+def test_fiber_class_built_at_one_level_serves_its_class(case, clear_rt_caches):
+    symbol, r, s = case
+    modulus = math.lcm(*(a for a, _ in symbol.fibers))
+    levels = [level + k * modulus for k in (0, 2, 4) for level in (r, s)]  # r + 2kA is in r's class mod A
+    clear_rt_caches()
+    warm = [z_direct(symbol, level) for level in levels]
+    classes = len({r % modulus, s % modulus})
+    assert seifertq.rt._fiber_class.cache_info()[:2] == (len(levels) - classes, classes)
+    for level, value in zip(levels, warm):
+        clear_rt_caches()
+        assert repr(z_direct(symbol, level)) == repr(value)  # bit for bit, signs of zero included
 
 
 def test_plan_cache_is_bounded():

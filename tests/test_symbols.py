@@ -262,6 +262,10 @@ def test_json_round_trip():
         '{"epsilon": "q", "genus": 1, "fibers": [[3, 1], [5, 2.0]], "boundary": false}',
         '{"epsilon": "o", "genus": 0, "fibers": [[4, 2], ["3", 1]], "boundary": false}',
         '{"epsilon": "o", "genus": 1.5, "fibers": [], "boundary": false}',
+        '{"epsilon": "o", "genus": true, "fibers": [], "boundary": false}',
+        '{"epsilon": "o", "genus": "2", "fibers": [[3, 1]], "boundary": true}',
+        '{"epsilon": "q", "genus": 1.5, "fibers": [], "boundary": false}',
+        '{"epsilon": "o", "genus": null, "fibers": [[4, 2]], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [], "boundary": "yes"}',
         '{"epsilon": 1, "genus": 1, "fibers": [], "boundary": false}',
         '{"epsilon": ["o"], "genus": 1, "fibers": [], "boundary": false}',
@@ -281,6 +285,10 @@ def test_semantically_bad_symbol_is_domain_error():
     for fibers in ("[[4, 2]]", "[[0, 1]]"):
         with pytest.raises(DomainError):
             symbol_from_json(f'{{"epsilon": "o", "genus": 1, "fibers": {fibers}, "boundary": false}}')
+    # an integer genus <= 0 is an invalid genus (exit 4)
+    for genus in (0, -1):
+        with pytest.raises(DomainError, match="genus"):
+            symbol_from_json(f'{{"epsilon": "o", "genus": {genus}, "fibers": [[3, 1]], "boundary": false}}')
 
 
 def test_symbol_from_json_checks_each_fiber_once(monkeypatch):
@@ -295,13 +303,14 @@ def test_symbol_from_json_checks_each_fiber_once(monkeypatch):
 
 
 def test_symbol_from_json_tests_each_fiber_entry_once(monkeypatch):
-    # the JSON loop checks each entry's shape, and the fiber rule is the one test of its integers
+    # the JSON loop checks each entry's shape, the fiber rule is the one test of its integers, and the
+    # constructor the one test of the genus
     fiber, is_int, checked, tested = seifertq.congruence._fiber, seifertq.symbols._is_int, [], []
     monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
     monkeypatch.setattr(seifertq.symbols, "_is_int", lambda x: tested.append(x) or is_int(x))
     symbol_from_json('{"epsilon": "o", "genus": 2, "fibers": [[7, 3], [11, -4], [7, 3]], "boundary": true}')
     assert checked == [(7, 3), (11, -4), (7, 3)]
-    assert [x for x in tested if x != 2] == []  # the genus, not a fiber entry
+    assert tested == [2]  # the genus, once, and no fiber entry
 
 
 # -- the symbol guard -------------------------------------------------------------
