@@ -64,14 +64,7 @@ among the t that occur, built for at most (a_j / d) min(a_j, r) terms; a pair
 multiplies each term by |F_j|^2, an unpaired fiber by F_j.
 When no table, no Euler phase and no sign (-1)^{gamma a_eps g} remain, as on
 every double at r = k lcm(a_j) (d = a_j), Z is the fsum of +-C sin^{-E}(pi
-gamma / r) over S, with no loop over gamma.  Z costs O(|S| n) terms and
-|S| sines, plus one pass over the fibers per residue class of r mod
-lcm(a_j) per process, plus O(sum_j (a_j / d_j) min(a_j, r)) over the
-tables built, plus one O(r) pass per (r, E) per process for the magnitude
-sum of sin^{-E} over every gamma, which depends on the level and
-the exponent E = n + a_eps g - 2 only and is cached, plus one CRT fold per
-constraint system per process.  At a level coprime to every a_j, all odd, S
-is all of 1..r-1 and the loop's own sines give that sum.  When a_j | r the
+gamma / r) over S, with no loop over gamma.  When a_j | r the
 table of an unpaired fiber is the single exact entry H_j(t) = a_j [t == 0
 mod a_j]; on a double at r = k lcm(a_j), S is the k lifts of the gamma of
 the congruence system below.
@@ -92,16 +85,11 @@ half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
 When P2's denominator leaves the float range, RT is nan and rt_closed
 raises DomainError rather than return the 0 of a division by inf.
 
-Only the tables, the lifts of S, the sines, the loop, P1's phase and P2's
-power of r depend on the level itself.  The pass over the fibers (C, which
-fibers take tables, the constraints of S) depends on r only through the
-gcd(r, a_j), so it is built once per residue class of r mod A = lcm(a_j) by
-_fiber_class; the tables are still built at each level.  The rest (e, E, the
-pairing, the b_j^*, the Dedekind sums and P1's exponent, P2's other factors,
-P3, A) is built once per closed symbol per process by _plan, and S's residues
-modulo lcm(D_j) once per constraint system per process by _residues, each a
-cache of 256 entries; the levels r = k A of a scan share one class, so a scan
-pays for the pass and the fold once.
+Only the tables, the lifts of S, the sines, P1's phase and P2's power of r
+depend on the level itself.  The pass over the fibers (C, which fibers take
+tables, the constraints of S) depends on r only through gcd(r, a_j), so on
+r mod A = lcm(a_j), and S's residues modulo lcm(D_j) only on those
+constraints; everything else depends on the symbol alone.
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -127,7 +115,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -137,7 +124,6 @@ from .symbols import SeifertSymbol, _require_symbol, euler_number
 
 __all__ = [
     "InvariantValue",
-    "unit_phase",
     "z_direct",
     "z_double_simplified",
     "rt_closed",
@@ -176,11 +162,6 @@ def _phase(num: int, den: int) -> complex:
     if 2 * num % den == 0:
         return _QUARTER_PHASES[2 * num // den]
     return cmath.exp(1j * math.pi * (num / den))
-
-
-def unit_phase(exponent: Fraction) -> complex:
-    """exp(i pi x) for exact rational x, reduced modulo 2 before rounding."""
-    return _phase(exponent.numerator, exponent.denominator)
 
 
 def _nonzero(a: int, r: int) -> tuple[int, int, int]:
@@ -231,7 +212,7 @@ def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
 
 @functools.lru_cache(maxsize=1024)
 def _scale_sum(r: int, exponent: int) -> float:
-    """fsum of sin^{-E}(pi gamma / r) over gamma = 1..r-1, once per (r, E) per process."""
+    """fsum of sin^{-E}(pi gamma / r) over gamma = 1..r-1: O(r), once per (r, E) per process."""
     return math.fsum(_scales(range(1, r), r, exponent))
 
 
@@ -239,15 +220,12 @@ def _scale_sum(r: int, exponent: int) -> float:
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Per level: a Gauss table per unpaired fiber and per mirrored pair with
-    gcd(r, a) = 1, O(|S| n) terms and |S| sines on the support S (_support),
-    and one O(r) pass per (r, E) per process for the magnitude sum
-    (_scale_sum).  e, E, the pairs and the b^* come from _plan; the pass over
-    the fibers is built once per residue class of r mod A = lcm(a_j)
-    (_fiber_class), and S's residues from one fold per constraint system
-    (_residues).  A pair with gcd(r, a) > 1 costs one integer product, and
-    where nothing else depends on gamma (every double at r = kA) there is no
-    loop over S.
+    Per level: the Gauss tables of the fibers _fiber_class lists, and O(|S| n)
+    terms and |S| sines on the support S (_support).  Where S is every gamma
+    those sines give the magnitude sum, else _scale_sum does.  A pair with
+    gcd(r, a) > 1 costs one integer product, and where nothing else depends on
+    gamma (every double at r = kA) there is no loop over S.  The rest comes
+    from the caches _plan, _fiber_class and _residues.
     """
     _require_symbol(symbol)
     _require_level(r)
@@ -359,7 +337,7 @@ def _pair_off(fibers: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]
 
 @functools.lru_cache(maxsize=256)
 def _plan(symbol: SeifertSymbol) -> tuple:
-    """What z_direct and rt_closed need of a closed symbol at every level, as one tuple.
+    """What z_direct and rt_closed need of a closed symbol at every level, as one tuple, once per symbol per process.
 
     P1 = _phase(num, 2 r den) and P2 = sign * r**power / den at level r; A = lcm(a_j) keys _fiber_class.
     """

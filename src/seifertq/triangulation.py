@@ -42,7 +42,6 @@ __all__ = [
     "EDGE_SLOTS",
     "parse_triangulation",
     "load_triangulation",
-    "s3_two_tetrahedra",
 ]
 
 EDGE_SLOTS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
@@ -203,12 +202,3 @@ def parse_triangulation(text: str) -> Triangulation:
 def load_triangulation(path: str | os.PathLike[str]) -> Triangulation:
     """Read and parse a UTF-8 triangulation file; an unreadable file is a MalformedInputError."""
     return parse_triangulation(_read_text(path, "triangulation"))
-
-
-def s3_two_tetrahedra() -> Triangulation:
-    """The 3-sphere as two tetrahedra glued by the identity on all four faces."""
-    gluings: dict[tuple[int, int], tuple[int, int, tuple[int, ...]] | None] = {}
-    for f in range(4):
-        gluings[(0, f)] = (1, f, (0, 1, 2, 3))
-        gluings[(1, f)] = (0, f, (0, 1, 2, 3))
-    return Triangulation(gluings)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from importlib.resources import files
+
 import pytest
 
 import seifertq.rt
+from seifertq import load_triangulation
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +24,9 @@ def clear_rt_caches():
             cache.cache_clear()
 
     return clear
+
+
+@pytest.fixture(scope="session")
+def sphere():
+    """The packaged two-tetrahedron 3-sphere: two tetrahedra glued by the identity on all four faces."""
+    return load_triangulation(files("seifertq") / "data/s3_two_tet.tri")

@@ -23,7 +23,6 @@ from seifertq import (
     normalize,
     reverse_orientation,
     rt_closed,
-    s3_two_tetrahedra,
     six_j,
     tv_bounded,
     tv_closed,
@@ -120,13 +119,12 @@ def test_a6_ltv_decreases_along_levels(capsys):
     report(capsys, "A6", ok, f"ltv={['%.4f' % v for v in values]}, growth exponent {slope:.2f}")
 
 
-def test_a7_state_sum_sphere(capsys):
+def test_a7_state_sum_sphere(capsys, sphere):
     """A7: the two-tetrahedron sphere state sum equals eta^2 = (2 sin(2 pi / r))^2 / r."""
-    tri = s3_two_tetrahedra()
     ok = True
     details = []
     for r in (3, 5, 7):
-        measured = tv_statesum(tri, r).value.real
+        measured = tv_statesum(sphere, r).value.real
         expected = (2.0 * math.sin(2.0 * math.pi / r)) ** 2 / r
         if r == 3:
             good = measured == 1.0

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
 
 import pytest
@@ -21,6 +25,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_child(*argv, **kwargs):
+    """The CLI run in a fresh interpreter that imports the package this process imports, for limits of its own."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    command = [sys.executable, "-m", "seifertq.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True, **kwargs)
 
 
 def test_rt_torus_bundle(capsys):
@@ -51,6 +62,17 @@ def test_tv_bounded_symbol(capsys):
     payload = json.loads(out)
     assert payload["method"] == "tv-bounded"
     assert payload["value"] > 0
+    # at r = 9A only 2 * 9 gamma survive the Gauss sums, yet term_count is the literal 134 * 2^4 * (3 * 5)^2
+    _, out, _ = run(capsys, "tv", "--symbol", ANCHOR, "--r", "135")
+    assert json.loads(out)["term_count"] == 482400
+
+
+def test_tv_of_a_pair_sharing_a_factor_with_r_builds_no_gauss_table():
+    # gcd(300009, 120027) = 3: the double's pair takes the integer a D = 120027 * 3 and builds no Gauss table;
+    # with a table for the pair the call runs past the timeout
+    symbol = '{"epsilon": "o", "genus": 1, "fibers": [[120027, 1]], "boundary": true}'
+    value = json.loads(run_child("tv", "--symbol", symbol, "--r", "300009", timeout=60, check=True).stdout)["value"]
+    assert isinstance(value, float) and 0 < value < math.inf
 
 
 def test_tv_triangulation(capsys):
@@ -148,6 +170,19 @@ def test_dedekind(capsys):
     payload = json.loads(out)
     assert payload["exact"] == "1/18"
     assert payload["float"] == pytest.approx(1 / 18)
+    # 693 == -1 (mod 694); a negative b follows "--"
+    exact = [json.loads(run(capsys, "dedekind", *args, "694")[1])["exact"] for args in (["693"], ["--", "-1"])]
+    assert exact[0] == exact[1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux only")
+def test_dedekind_check_fits_a_256_mb_address_space():
+    # the exact check against the sawtooth sum runs in constant memory, so a = 10^7 + 19 needs no list of a terms
+    import resource
+
+    cap = 256 * 2**20
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))  # noqa: E731
+    assert run_child("dedekind", "1", "10000019", preexec_fn=limit).returncode == 0
 
 
 def test_sixj(capsys):
@@ -221,11 +256,17 @@ def test_symbol_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "rt", "--symbol", f"@{path}", "--r", "5")
     assert code == 0
     assert json.loads(out)["value"]["re"] == pytest.approx(4.0, rel=1e-9)
+    # the CLI reads every --symbol in one place: @file prints the bytes of the inline symbol
+    for symbol, argv in ((TORUS, ["rt", "--r", "5"]), (ANCHOR, ["tv", "--r", "15"])):
+        path.write_text(symbol)
+        inline, from_file = (run(capsys, argv[0], "--symbol", given, *argv[1:])[1] for given in (symbol, f"@{path}"))
+        assert from_file == inline
 
 
 def test_missing_symbol_file(capsys, tmp_path):
-    code, _, err = run(capsys, "rt", "--symbol", f"@{tmp_path}/nope.json", "--r", "5")
+    code, out, err = run(capsys, "rt", "--symbol", f"@{tmp_path}/nope.json", "--r", "5")
     assert code == 3
+    assert out == ""
     assert "cannot read" in err
 
 
@@ -308,10 +349,22 @@ def test_prefactor_beyond_float_range_exits_4_not_zero(capsys):
 
 
 def test_rt_of_a_double_prints_an_imaginary_part_of_zero(capsys):
-    double = '{"epsilon": "o", "genus": 2, "fibers": [[3, 1], [5, 1], [3, -1], [5, -1]], "boundary": false}'
-    code, out, _ = run(capsys, "rt", "--symbol", double, "--r", "15")
+    # a double, and one mirrored pair, where P2's sign -1 meets a real, negative Z
+    for fibers in ("[[3, 1], [5, 1], [3, -1], [5, -1]]", "[[3, 1], [3, -1]]"):
+        double = f'{{"epsilon": "o", "genus": 2, "fibers": {fibers}, "boundary": false}}'
+        code, out, _ = run(capsys, "rt", "--symbol", double, "--r", "15")
+        assert code == 0
+        # compared as text: -0.0 == 0.0 would pass a comparison of floats
+        assert json.dumps(json.loads(out)["value"]["im"]) == "0.0", fibers
+
+
+def test_rt_where_no_gamma_survives_prints_exact_zeros(capsys):
+    # (2, 1) has a nonzero Gauss sum at even gamma only and (4, 1) at odd gamma only: no gamma is summed
+    symbol = '{"epsilon": "o", "genus": 1, "fibers": [[2, 1], [4, 1]], "boundary": false}'
+    code, out, _ = run(capsys, "rt", "--symbol", symbol, "--r", "10001")
     assert code == 0
-    assert json.loads(out)["value"]["im"] == 0.0
+    payload = json.loads(out)
+    assert (json.dumps(payload["value"]), payload["term_count"]) == ('{"re": 0.0, "im": 0.0}', 320000)
 
 
 def test_malformed_triangulation_exits_3(capsys, tmp_path):

@@ -101,6 +101,8 @@ def test_dedekind_known_values():
     assert dedekind_sum(1, 1) == 0
     assert dedekind_sum(0, 1) == 0
     assert dedekind_sum(1, 2) == 0
+    a = 1000003
+    assert dedekind_sum(1, a) == Fraction((a - 1) * (a - 2), 12 * a)
 
 
 def test_dedekind_antisymmetry_and_periodicity():
@@ -246,10 +248,14 @@ def test_solution_set_frozen_example():
     assert (cert.gamma, cert.mu) == (1, (-1, -1))
 
 
+SIX_COPRIME = ((2, 1), (3, 1), (5, 2), (7, 3), (11, 4), (13, 5))  # 2^5 found by the fold, the rest as mirrors
+
+
 def test_solution_set_closed_under_involution():
-    for fibers in [((3, 1), (5, 1)), ((5, 1), (5, 4)), ((2, 1), (3, 1), (5, 1))]:
+    for fibers in [((3, 1), (5, 1)), ((5, 1), (5, 4)), ((2, 1), (3, 1), (5, 1)), SIX_COPRIME]:
         cert = enumerate_solutions(fibers)
         members = set(cert.set_b)
+        assert len(members) == cert.cardinality
         for gamma, mu in members:
             mirrored = (cert.modulus - gamma, tuple(-m for m in mu))
             assert mirrored in members
@@ -262,6 +268,7 @@ def test_solution_set_closed_under_involution():
         ((2, 1), (3, 1), (5, 1)),
         ((3, 2), (5, 3)),
         ((2, 1), (3, 2), (5, 4), (7, 1)),
+        SIX_COPRIME,
     ],
 )
 def test_pairwise_coprime_cardinality_is_power_of_two(fibers):

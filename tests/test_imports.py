@@ -12,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from importlib.resources import files
 
 import pytest
 
@@ -46,7 +47,7 @@ def test_dedekind_subcommand_loads_only_its_modules():
 
 CLOSED = '{"epsilon": "o", "genus": 1, "fibers": [[3, 1], [5, 2]], "boundary": false}'
 BOUNDED = '{"epsilon": "o", "genus": 1, "fibers": [[3, 1], [5, 1]], "boundary": true}'
-TRI = os.path.join(os.path.dirname(__file__), os.pardir, "src", "seifertq", "data", "s3_two_tet.tri")
+TRI = str(files("seifertq") / "data/s3_two_tet.tri")
 
 # argv of each subcommand, and whether it needs rootdata: the RT path checks its level through errors
 SUBCOMMANDS = [

@@ -38,7 +38,6 @@ from seifertq import (
     rt_closed,
     tv_bounded,
     tv_closed,
-    unit_phase,
     verlinde_dimension,
     z_direct,
     z_double_simplified,
@@ -74,22 +73,20 @@ def oracle_z(symbol, r):
     return total
 
 
-# -- unit_phase -------------------------------------------------------------------
+# -- unit phases ------------------------------------------------------------------
 
 
 def test_unit_phase_quarter_values_exact():
-    assert unit_phase(Fraction(0)) == 1
-    assert unit_phase(Fraction(1)) == -1
-    assert unit_phase(Fraction(1, 2)) == 1j
-    assert unit_phase(Fraction(3, 2)) == -1j
-    assert unit_phase(Fraction(7, 2)) == -1j
-    assert unit_phase(Fraction(-1, 2)) == -1j
+    assert _phase(0, 1) == 1
+    assert _phase(1, 1) == -1
+    assert _phase(1, 2) == 1j
+    assert _phase(3, 2) == -1j
+    assert _phase(7, 2) == -1j
+    assert _phase(-1, 2) == -1j
 
 
 def test_unit_phase_reduces_large_exponents():
-    huge = Fraction(6 * 10**12 + 1, 3)  # == 1/3 modulo 2
-    small = Fraction(1, 3)
-    assert unit_phase(huge) == pytest.approx(unit_phase(small), abs=1e-15)
+    assert _phase(6 * 10**12 + 1, 3) == pytest.approx(_phase(1, 3), abs=1e-15)  # == 1/3 modulo 2
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -103,7 +100,7 @@ def _bits(z: complex) -> tuple[str, str]:
 )
 def test_unit_phase_rounds_once_after_exact_reduction(p, q, scale):
     x = Fraction(p, q)
-    got = unit_phase(x)
+    got = _phase(x.numerator, x.denominator)
     assert _bits(_phase(p * scale, q * scale)) == _bits(got)  # the same bits from an unreduced fraction
     if (2 * x).denominator == 1:
         assert got == (1, 1j, -1, -1j)[int(2 * x) % 4]
@@ -478,13 +475,14 @@ def test_rt_closed_cancels_mirrored_dedekind_sums(monkeypatch):
 
 
 def oracle_prefactor(symbol, r):
-    """P1 P2 P3 from every fiber's Dedekind sum, with Fraction exponents and unit_phase."""
+    """P1 P2 P3 from every fiber's Dedekind sum, with Fraction exponents taken by _phase in lowest terms."""
     fibers = symbol.fibers
     n, a_eps, g = len(fibers), symbol.a_eps, symbol.genus
     euler = -sum((Fraction(b, a) for a, b in fibers), Fraction(0))
     sign_e = (euler > 0) - (euler < 0)
     dedekind_total = sum((dedekind_sum(b, a) for a, b in fibers), Fraction(0))
-    p1 = unit_phase((Fraction(3 * (a_eps - 1) * sign_e) - euler - 12 * dedekind_total) / (2 * r))
+    x1 = (Fraction(3 * (a_eps - 1) * sign_e) - euler - 12 * dedekind_total) / (2 * r)
+    p1 = _phase(x1.numerator, x1.denominator)
     half_exp = Fraction(a_eps * g, 2)
     p2 = (
         (-1.0) ** (a_eps * g)
@@ -492,7 +490,8 @@ def oracle_prefactor(symbol, r):
         * float(r) ** float(half_exp - 1)
         / (2.0 ** float(n + half_exp - 1) * math.sqrt(math.prod(a for a, _ in fibers)))
     )
-    p3 = unit_phase(Fraction(3 * (1 - a_eps) * sign_e, 4))
+    x3 = Fraction(3 * (1 - a_eps) * sign_e, 4)
+    p3 = _phase(x3.numerator, x3.denominator)
     return p1 * p2 * p3
 
 
@@ -544,6 +543,7 @@ def closed_symbols_at_two_levels(draw):
 @given(case=closed_symbols_at_two_levels())
 @example(case=(SeifertSymbol("o", 1, ((3, 1), (5, 2))), 7, 15))  # gcd(7, 15) = 1: both fibers build tables
 @example(case=(SeifertSymbol("n", 2, ((15, 2), (15, -2), (9, 4))), 3, 5))  # the pair has d = 3, then d = 5
+@example(case=(double(SeifertSymbol("o", 1, ((3, 1), (5, 1)), boundary=True)), 15, 45))  # a scan's r = 15k
 def test_fiber_class_built_at_one_level_serves_its_class(case, clear_rt_caches):
     symbol, r, s = case
     modulus = math.lcm(*(a for a, _ in symbol.fibers))

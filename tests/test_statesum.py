@@ -14,7 +14,6 @@ from seifertq import (
     enumerate_admissible_colorings,
     is_admissible,
     parse_triangulation,
-    s3_two_tetrahedra,
     tv_statesum,
 )
 
@@ -29,9 +28,8 @@ def brute_colorings(tri, ctx):
     return out
 
 
-def test_face_classes_of_the_sphere():
-    tri = s3_two_tetrahedra()
-    triples = tri.face_classes
+def test_face_classes_of_the_sphere(sphere):
+    triples = sphere.face_classes
     assert len(triples) == 4
     # faces of a tetrahedron: each of the 6 edges lies on exactly 2 faces
     flat = [c for triple in triples for c in triple]
@@ -40,33 +38,30 @@ def test_face_classes_of_the_sphere():
 
 
 @pytest.mark.parametrize("r, count", [(3, 1), (5, 15), (7, 98), (9, 414), (11, 1331)])
-def test_coloring_counts(r, count):
-    tri = s3_two_tetrahedra()
-    colorings = list(enumerate_admissible_colorings(tri, RootContext(r)))
+def test_coloring_counts(r, count, sphere):
+    colorings = list(enumerate_admissible_colorings(sphere, RootContext(r)))
     assert len(colorings) == count
 
 
 @pytest.mark.parametrize("r", [3, 5, 7])
-def test_colorings_match_brute_force(r):
-    tri = s3_two_tetrahedra()
+def test_colorings_match_brute_force(r, sphere):
     ctx = RootContext(r)
-    got = list(enumerate_admissible_colorings(tri, ctx))
-    assert got == brute_colorings(tri, ctx)
+    got = list(enumerate_admissible_colorings(sphere, ctx))
+    assert got == brute_colorings(sphere, ctx)
     assert got == sorted(got)  # lexicographic enumeration order
 
 
-def test_sphere_statesum_is_eta_squared():
-    tri = s3_two_tetrahedra()
-    assert tv_statesum(tri, 3).value == 1.0
+def test_sphere_statesum_is_eta_squared(sphere):
+    assert tv_statesum(sphere, 3).value == 1.0
     for r in (5, 7, 9, 11, 13, 15):
         expected = (2.0 * math.sin(2.0 * math.pi / r)) ** 2 / r
-        got = tv_statesum(tri, r)
+        got = tv_statesum(sphere, r)
         if r <= 11:
             assert got.value == pytest.approx(expected, rel=1e-11)
         else:
             # relative to the size of the terms summed, not of the value they cancel down to
             assert abs(got.value - expected) <= 4 * sys.float_info.epsilon * got.term_magnitude_sum
-        assert got.term_count == len(list(enumerate_admissible_colorings(tri, RootContext(r))))
+        assert got.term_count == len(list(enumerate_admissible_colorings(sphere, RootContext(r))))
 
 
 # the 3-sphere from one tetrahedron: faces 0, 1 folded onto each other, and 2, 3
@@ -83,9 +78,9 @@ def test_one_tetrahedron_sphere_cells():
 
 
 @pytest.mark.parametrize("r", range(3, 15, 2))
-def test_statesum_does_not_depend_on_the_triangulation(r):
+def test_statesum_does_not_depend_on_the_triangulation(r, sphere):
     one = tv_statesum(parse_triangulation(ONE_TET_SPHERE), r)
-    two = tv_statesum(s3_two_tetrahedra(), r)
+    two = tv_statesum(sphere, r)
     assert one.value == pytest.approx(two.value, rel=1e-12)
 
 
@@ -97,7 +92,7 @@ def test_statesum_requires_closed():
         list(enumerate_admissible_colorings(ball, RootContext(5)))
 
 
-def test_statesum_value_is_real_invariant_record():
-    inv = tv_statesum(s3_two_tetrahedra(), 7)
+def test_statesum_value_is_real_invariant_record(sphere):
+    inv = tv_statesum(sphere, 7)
     assert inv.method == "state-sum"
     assert inv.term_magnitude_sum >= abs(inv.value)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from importlib.resources import files
-
 import pytest
 
 from seifertq import (
@@ -13,35 +11,25 @@ from seifertq import (
     TriangulationError,
     load_triangulation,
     parse_triangulation,
-    s3_two_tetrahedra,
 )
 
 BALL = "tet 0: - - - -\n"
 
 
-def test_two_tet_sphere_counts():
-    tri = s3_two_tetrahedra()
-    assert tri.tet_count == 2
-    assert tri.vertex_count == 4
-    assert tri.edge_count == 6
-    assert tri.face_count == 4
-    assert tri.euler_characteristic == 0
-    assert tri.is_closed
+def test_two_tet_sphere_counts(sphere):
+    assert sphere.tet_count == 2
+    assert sphere.vertex_count == 4
+    assert sphere.edge_count == 6
+    assert sphere.face_count == 4
+    assert sphere.euler_characteristic == 0
+    assert sphere.is_closed
 
 
-def test_gluings_given_as_lists():
-    tuples = s3_two_tetrahedra()
+def test_gluings_given_as_lists(sphere):
     lists = Triangulation({(t, f): [1 - t, f, [0, 1, 2, 3]] for t in range(2) for f in range(4)})
-    assert lists.face_classes == tuples.face_classes
-    assert [lists.tet_edge_classes(t) for t in range(2)] == [tuples.tet_edge_classes(t) for t in range(2)]
+    assert lists.face_classes == sphere.face_classes
+    assert [lists.tet_edge_classes(t) for t in range(2)] == [sphere.tet_edge_classes(t) for t in range(2)]
     assert (lists.vertex_count, lists.edge_count, lists.face_count) == (4, 6, 4)
-
-
-def test_packaged_sphere_file_matches_builder():
-    path = files("seifertq").joinpath("data/s3_two_tet.tri")
-    tri = load_triangulation(str(path))
-    built = s3_two_tetrahedra()
-    assert tri.gluings == built.gluings
 
 
 def test_single_tet_ball():
@@ -53,12 +41,11 @@ def test_single_tet_ball():
     assert tri.euler_characteristic == 1  # a 3-ball
 
 
-def test_edge_slot_order():
-    tri = s3_two_tetrahedra()
+def test_edge_slot_order(sphere):
     assert EDGE_SLOTS == ((0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3))
     # identity gluings identify same-name edges across the two tetrahedra
-    assert tri.tet_edge_classes(0) == tri.tet_edge_classes(1)
-    assert sorted(tri.tet_edge_classes(0)) == [0, 1, 2, 3, 4, 5]
+    assert sphere.tet_edge_classes(0) == sphere.tet_edge_classes(1)
+    assert sorted(sphere.tet_edge_classes(0)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_comments_and_blank_lines_ignored():
