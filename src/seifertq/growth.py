@@ -44,14 +44,13 @@ class LowerBound(NamedTuple):
 @_in_float_range
 def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
     """Growth lower bound for a bounded symbol at an admissible level r = k A."""
-    A, k, gammas = _double_setup(symbol, r)  # checks that symbol is a SeifertSymbol
+    _, _, gammas, A = _double_setup(symbol, r)  # checks that symbol is a SeifertSymbol; A = lcm(a_j) once B is nonempty
     if not gammas:
         raise DegenerateSystemError(
             "the congruence system has no solutions (B is empty), so the "
             "divisibility hypothesis fails and no positive lower bound exists"
         )
-    n = len(symbol.fibers)
-    a_eps = symbol.a_eps
+    n, k, a_eps = len(symbol.fibers), r // A, symbol.a_eps
     value = (
         float(r) ** (a_eps * symbol.genus - 1)
         * 2.0
@@ -98,8 +97,8 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
     TV_r is tv_closed of a closed symbol and tv_bounded of a bounded one.
-    All levels share the symbol's level-independent RT data (rt._plan) and,
-    at r = kA, the fold of its congruence system (rt._residues).
+    All levels share the symbol's level-independent RT data (rt._plan), and
+    the levels of one class mod A its pass over the fibers (rt._fiber_class).
 
     Returns the samples and, when at least two distinct levels are given,
     the least-squares slope of log |TV_r| against log r (None otherwise).

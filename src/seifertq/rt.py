@@ -87,9 +87,9 @@ raises DomainError rather than return the 0 of a division by inf.
 
 Only the tables, the lifts of S, the sines, P1's phase and P2's power of r
 depend on the level itself.  The pass over the fibers (C, which fibers take
-tables, the constraints of S) depends on r only through gcd(r, a_j), so on
-r mod A = lcm(a_j), and S's residues modulo lcm(D_j) only on those
-constraints; everything else depends on the symbol alone.
+tables, S's residues modulo lcm(D_j)) depends on r only through gcd(r, a_j),
+so on r mod A = lcm(a_j), and on the symbol only through the (a_j, b_j^*) of
+its pairs and unpaired fibers; everything else depends on the symbol alone.
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -105,9 +105,10 @@ an exactly-zero value when the solution set B is empty, and a manifestly
 positive-or-negative real number otherwise.  It is the pair form above at
 r = kA, where each pair's |F|^2 is a_j D = a_j^2 on the support.  As r is
 odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma of B are
-the support at level A, and z_double_simplified sums C _scales, z_direct's
-terms with C = (prod_j a_j)^2, over their k lifts; the two are equal
-whenever C < 2^53, so that the float C is exact.
+the support at level A.  M's fibers are one of each pair of D(M), so
+z_double_simplified reads z_direct's pass over them at r == 0 (mod A), the
+weight (-1)^n (prod_j a_j)^2 and the gamma of B, and lifts that support k
+times: its terms are z_direct's, and the two sums are equal.
 """
 
 from __future__ import annotations
@@ -188,21 +189,11 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     }
 
 
-def _support(constraints: frozenset[tuple[int, int]], r: int) -> Sequence[int]:
-    """The gamma in 1..r-1 with gamma == +-c (mod D) for each constraint (D, c) of z_direct, residue by residue."""
-    if not constraints:
+def _support(residues: tuple[int, ...], modulus: int, r: int) -> Sequence[int]:
+    """The gamma in 1..r-1 congruent to one of the residues modulo modulus, residue by residue."""
+    if modulus == 1:
         return range(1, r)
-    residues, modulus = _residues(constraints)  # only the lifts depend on r; a residue 0 lifts from modulus
-    return [gamma for residue in residues for gamma in range(residue or modulus, r, modulus)]
-
-
-@functools.lru_cache(maxsize=256)
-def _residues(constraints: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """The sorted gamma modulo M = lcm(D) of _support, and M: one _crt_fold per system per process."""
-    half, modulus = _crt_fold(list(constraints))
-    residues = {t for t, _ in half}  # a set: each gamma comes once, however many sign vectors reach it
-    residues.update([-t % modulus for t in residues])  # the fold holds the first sign at +1; the mirrors bring -1
-    return tuple(sorted(residues)), modulus
+    return [gamma for residue in residues for gamma in range(residue or modulus, r, modulus)]  # 0 lifts from modulus
 
 
 def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
@@ -225,16 +216,16 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     those sines give the magnitude sum, else _scale_sum does.  A pair with
     gcd(r, a) > 1 costs one integer product, and where nothing else depends on
     gamma (every double at r = kA) there is no loop over S.  The rest comes
-    from the caches _plan, _fiber_class and _residues.
+    from the caches _plan and _fiber_class.
     """
     _require_symbol(symbol)
     _require_level(r)
     if symbol.boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
-    e_num, e_den, exponent, odd_sign, per_gamma, modulus = _plan(symbol)[:6]
-    weight, tabled, constraints = _fiber_class(symbol, r % modulus)
+    e_num, e_den, exponent, odd_sign, per_gamma, A, pairs, unpaired = _plan(symbol)[:8]
+    weight, tabled, residues, modulus = _fiber_class(pairs, unpaired, r % A)
     tables = [(a, bstar, _gauss_table(a, bstar, r), paired) for a, bstar, paired in tabled]  # tables depend on r
-    support = _support(constraints, r)  # at each of its gamma every table has a nonzero entry
+    support = _support(residues, modulus, r)  # at each of its gamma every table has a nonzero entry
     scales = _scales(support, r, exponent)
 
     # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
@@ -258,15 +249,15 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
 
 @functools.lru_cache(maxsize=256)
-def _fiber_class(symbol: SeifertSymbol, residue: int) -> tuple[float, tuple, frozenset[tuple[int, int]]]:
-    """z_direct's pass over the fibers at every level r == residue (mod A): (weight, tabled, constraints).
+def _fiber_class(pairs: tuple, unpaired: tuple, residue: int) -> tuple[float, tuple, tuple[int, ...], int]:
+    """The pass over the fibers at every level r == residue (mod A): (weight, tabled, residues, modulus).
 
-    It depends on r only through d = gcd(r, a_j) = gcd(residue, a_j), as a_j | A.  weight is -+C,
-    each pair contributing -|F|^2, with C the integer product of a D over the pairs with d > 1;
-    tabled holds the (a, b^*, paired) that take a Gauss table, pairs first, so products round in
-    one order; constraints are the (D, c) of _support.  Once per closed symbol and class per process.
+    pairs and unpaired are _plan's (a, b^*) and A = lcm(a_j), so the pass depends on r only through
+    d = gcd(r, a_j) = gcd(residue, a_j).  weight is -+C, each pair contributing -|F|^2, with C the integer
+    product of a D over the pairs with d > 1; tabled holds the (a, b^*, paired) that take a Gauss table,
+    pairs first, so products round in one order; S is the gamma == a residue (mod modulus = lcm(D)).
+    One _crt_fold per fiber list and class per process, whatever the base, the genus or the level.
     """
-    pairs, unpaired = _plan(symbol)[6:8]
     constant, tabled, constraints = 1, [], set()
     for paired, part in ((True, pairs), (False, unpaired)):
         for a, bstar in part:
@@ -277,13 +268,17 @@ def _fiber_class(symbol: SeifertSymbol, residue: int) -> tuple[float, tuple, fro
                 tabled.append((a, bstar, paired))
             if D > 1:  # H((gamma -+ b^*) mod a) != 0 at gamma == +-(b^* - t0) (mod D), as 2 t0 == 0 (mod D)
                 constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
-    return float(-constant if len(pairs) % 2 else constant), tuple(tabled), frozenset(constraints)
+    half, modulus = _crt_fold(list(constraints))
+    residues = {t for t, _ in half}  # a set: each gamma comes once, however many sign vectors reach it
+    residues.update([-t % modulus for t in residues])  # the fold holds the first sign at +1; the mirrors bring -1
+    return float(-constant if len(pairs) % 2 else constant), tuple(tabled), tuple(sorted(residues)), modulus
 
 
-def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, Sequence[int]]:
-    """Check the preconditions the simplified form and the growth bound share.
+def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[float, tuple, tuple[int, ...], int]:
+    """Check the preconditions the simplified form and the growth bound share; return D(M)'s pass at r == 0 (mod A).
 
-    Returns (A, k, gammas) with r = k A and gammas the gamma of B, each once: z_direct's residues at level A.
+    M's fibers are one of each pair of D(M): z_direct's entry for the double at every level r = kA,
+    (weight, (), the gamma of B, modulus), with modulus A when B is nonempty.
     """
     _require_symbol(symbol)
     _require_level(r)
@@ -298,9 +293,7 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[int, int, Sequence[int
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
     # each a_j | r is odd and >= 3, so a gamma of B has one mu; at A, (D, t0) = (a_j, 0), and a residue is its one lift
-    # the mirror's inverse pow(-b, -1, a) is a - b^*, as a >= 2
-    inverses = [(a, pow(b, -1, a)) for a, b in symbol.fibers]
-    return A, r // A, _residues(frozenset([(a, min(bstar, a - bstar)) for a, bstar in inverses]))[0]
+    return _fiber_class(tuple([(a, pow(b, -1, a)) for a, b in symbol.fibers]), (), 0)
 
 
 @_in_float_range
@@ -310,12 +303,11 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     Requires a bounded symbol with at least one fiber, every a_j >= 2, and a
     level r that is an odd multiple of A = lcm(a_j).  An empty B gives +0.0, with a warning.
     """
-    A, k, gammas = _double_setup(symbol, r)
-    n = len(symbol.fibers)
-    lifts = [gamma + p * A for gamma in gammas for p in range(k)]
+    weight, _, gammas, modulus = _double_setup(symbol, r)
+    lifts = _support(gammas, modulus, r)  # gamma + p A for p < k = r / A
+    exponent = 2 * len(symbol.fibers) + 2 * symbol.a_eps * symbol.genus - 2
     # a sine power past the float range raises OverflowError, which _in_float_range rejects
-    weight = float((-1) ** n * math.prod(a for a, _ in symbol.fibers) ** 2)  # z_direct's weight for the double's pairs
-    value = math.fsum(map(weight.__mul__, _scales(lifts, r, 2 * n + 2 * symbol.a_eps * symbol.genus - 2)))
+    value = math.fsum(map(weight.__mul__, _scales(lifts, r, exponent)))
     warnings = () if gammas else ("empty congruence solution set; the sum vanishes identically",)
     return InvariantValue(value, r, "simplified", len(lifts), abs(value), warnings)
 

@@ -165,7 +165,8 @@ def test_scan_and_lemma_build_one_plan(clear_rt_caches):
     verify_lemma(ANCHOR, 15)
     assert seifertq.rt._plan.cache_info().misses == 1
     # 15, 45 and 75 are all 0 (mod A = 15): one pass over the double's fibers serves the four evaluations
-    assert seifertq.rt._fiber_class.cache_info()[:2] == (3, 1)
+    # and the lemma's bound
+    assert seifertq.rt._fiber_class.cache_info()[:2] == (4, 1)
 
 
 @pytest.mark.parametrize(

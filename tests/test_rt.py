@@ -42,7 +42,7 @@ from seifertq import (
     z_direct,
     z_double_simplified,
 )
-from seifertq.rt import _fsum_complex, _gauss_table, _nonzero, _pair_off, _phase, _plan, _residues, _scale_sum
+from seifertq.rt import _fiber_class, _fsum_complex, _gauss_table, _nonzero, _pair_off, _phase, _plan, _scale_sum
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -252,8 +252,8 @@ def _record_support_and_phases(monkeypatch):
     supports, phases = [], Counter()
     support, phase = seifertq.rt._support, seifertq.rt._phase
 
-    def recording_support(constraints, r):
-        supports.append(list(support(constraints, r)))
+    def recording_support(residues, modulus, r):
+        supports.append(list(support(residues, modulus, r)))
         return supports[-1]
 
     def counting_phase(num, den):
@@ -266,7 +266,7 @@ def _record_support_and_phases(monkeypatch):
 
 
 def _support_of(symbol, r):
-    """The support z_direct sums over for a closed symbol at level r, from the constraints its fiber pass builds."""
+    """The support z_direct sums over for a closed symbol at level r, lifted from the residues of its fiber pass."""
     with pytest.MonkeyPatch.context() as patch:
         supports, _ = _record_support_and_phases(patch)
         z_direct(symbol, r)
@@ -557,12 +557,14 @@ def test_fiber_class_built_at_one_level_serves_its_class(case, clear_rt_caches):
         assert repr(z_direct(symbol, level)) == repr(value)  # bit for bit, signs of zero included
 
 
-def test_plan_cache_is_bounded():
-    _plan.cache_clear()
-    maxsize = _plan.cache_info().maxsize
+@pytest.mark.parametrize("cache", [_plan, _fiber_class], ids=["plan", "fiber_class"])
+def test_plan_cache_is_bounded(cache, clear_rt_caches):
+    # every symbol below has its own fiber list, so each is a new key of both caches
+    clear_rt_caches()
+    maxsize = cache.cache_info().maxsize
     for genus in range(1, maxsize + 51):
         z_direct(SeifertSymbol("o", genus % 3 + 1, ((genus + 2, 1),)), 3)
-    info = _plan.cache_info()
+    info = cache.cache_info()
     assert (info.misses, info.currsize) == (maxsize + 50, maxsize)
 
 
@@ -645,7 +647,8 @@ def test_simplified_hand_value():
     # Z = -(3^2) * (sin(pi/3)^-4 + sin(2pi/3)^-4) = -9 * 2 * (16/9) = -32
     got = z_double_simplified(HAND_SYMBOL, 3)
     assert got.value == pytest.approx(-32.0, rel=1e-12)
-    assert z_direct(double(HAND_SYMBOL), 3).value == pytest.approx(-32.0, rel=1e-9)
+    direct = z_direct(double(HAND_SYMBOL), 3).value
+    assert (direct.real, direct.imag) == (got.value, 0.0)  # one weight, one support: the same floats
 
 
 @pytest.mark.parametrize(
@@ -653,15 +656,13 @@ def test_simplified_hand_value():
     [
         pytest.param(ANCHOR_SYMBOL, 15, 4, id="15"),
         pytest.param(ANCHOR_SYMBOL, 45, 4, id="45"),
-        # cancellation here left the literal sum's imaginary part at 3.5e-9 |Z|
         pytest.param(SeifertSymbol("o", 2, ((3, 1), (11, 7)), boundary=True), 33, 4, id="o2-3.1-11.7-33"),
     ],
 )
 def test_simplified_equals_direct_on_double(symbol, r, cardinality):
-    direct = z_direct(double(symbol), r)
+    direct = z_direct(double(symbol), r).value
     simplified = z_double_simplified(symbol, r)
-    assert simplified.value == pytest.approx(direct.value.real, rel=1e-9)
-    assert abs(direct.value.imag) < 1e-8 * abs(direct.value.real)
+    assert (direct.real, direct.imag) == (simplified.value, 0.0)
     modulus = math.lcm(*(a for a, _ in symbol.fibers))
     assert simplified.term_count == cardinality * (r // modulus)
 
@@ -698,7 +699,7 @@ def test_rt_parts_that_are_zero_are_positive_zero(part):
 def _single_gamma(call, gamma):
     """call() with z_direct's support replaced by the single gamma given."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seifertq.rt, "_support", lambda constraints, r: [gamma])
+        patch.setattr(seifertq.rt, "_support", lambda residues, modulus, r: [gamma])
         return call()
 
 
@@ -756,7 +757,7 @@ def test_double_at_a_multiple_of_a_builds_no_gauss_table(symbol, k):
 @given(symbol=odd_modulus_symbols(), k=st.sampled_from((1, 3)))
 def test_simplified_matches_direct_property(symbol, k):
     r = k * math.lcm(*(a for a, _ in symbol.fibers))
-    # (prod a_j)^2 < 2^53, so both are the fsum of the same multiset of (prod a_j)^2 sin^-E(pi gamma / r)
+    # both are the fsum of (-1)^n (prod a_j)^2 sin^-E(pi gamma / r) over one support, from one weight
     direct = z_direct(double(symbol), r).value
     assert (direct.real, direct.imag) == (z_double_simplified(symbol, r).value, 0.0)
 
@@ -825,7 +826,7 @@ def test_simplified_preconditions():
 
 
 @pytest.mark.parametrize("evaluate", [z_double_simplified, lower_bound])
-def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
+def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate, clear_rt_caches):
     original, fiber = seifertq.rt._crt_fold, seifertq.congruence._fiber
     folds, checked = [], []
 
@@ -833,12 +834,25 @@ def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate):
         folds.append(sorted(constraints))
         return original(constraints, *args)
 
-    monkeypatch.setattr(seifertq.rt, "_crt_fold", counting)  # the binding _residues calls
+    monkeypatch.setattr(seifertq.rt, "_crt_fold", counting)  # the binding _fiber_class calls
     monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
-    _residues.cache_clear()
+    clear_rt_caches()
     evaluate(ANCHOR_SYMBOL, 15)
     assert folds == [[(3, 1), (5, 1)]]  # one fold over the (a, b*) of the symbol's fibers, none checked again
     assert checked == []
+
+
+def test_bound_and_invariant_share_the_double_s_pass(clear_rt_caches):
+    # M's fibers are one of each pair of D(M): at r == 0 (mod A) the bound reads the pass z_direct builds
+    clear_rt_caches()
+    lower_bound(ANCHOR_SYMBOL, 15)
+    z_direct(double(ANCHOR_SYMBOL), 45)
+    assert _fiber_class.cache_info()[:2] == (1, 1)
+    # two symbols that differ only in base and genus have doubles with one fiber list
+    clear_rt_caches()
+    tv_bounded(ANCHOR_SYMBOL, 15)
+    tv_bounded(SeifertSymbol("n", 2, ANCHOR_SYMBOL.fibers, boundary=True), 15)
+    assert (_fiber_class.cache_info()[:2], _plan.cache_info().misses) == ((1, 1), 2)
 
 
 def test_rt_path_checks_each_fiber_once(monkeypatch):
