@@ -11,7 +11,6 @@ this one: ``_is_int`` (the integer test of all arguments),
 
 from __future__ import annotations
 
-import cmath
 import functools
 
 __all__ = [
@@ -79,7 +78,7 @@ def _in_float_range(evaluate):
         except ArithmeticError:  # OverflowError, or ZeroDivisionError from a divisor that underflowed to 0
             result = float("inf")
         for x in result if isinstance(result, tuple) else (result,):
-            if type(x) in _INEXACT and not cmath.isfinite(x):
+            if type(x) in _INEXACT and x - x:  # 0 when finite; nan for inf or nan, in either part of a complex
                 raise DomainError(f"{evaluate.__name__}: the value exceeds the float range")
         return result
 

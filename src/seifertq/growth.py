@@ -50,16 +50,12 @@ def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
             "the congruence system has no solutions (B is empty), so the "
             "divisibility hypothesis fails and no positive lower bound exists"
         )
-    n, k, a_eps = len(symbol.fibers), r // A, symbol.a_eps
+    fibers, k, cardinality, a_eps_g = symbol.fibers, r // A, len(gammas), symbol.a_eps * symbol.genus
     value = (
-        float(r) ** (a_eps * symbol.genus - 1)
-        * 2.0
-        * len(gammas)
-        * k
-        * math.prod(a for a, _ in symbol.fibers)
-        / 2.0 ** (2 * n + a_eps * symbol.genus - 1)
+        float(r) ** (a_eps_g - 1) * 2.0 * cardinality * k * math.prod([a for a, _ in fibers])
+        / 2.0 ** (2 * len(fibers) + a_eps_g - 1)
     )
-    return LowerBound(value, r, A, k, len(gammas))
+    return tuple.__new__(LowerBound, (value, r, A, k, cardinality, ()))  # skips the Python-level __new__, as rt does
 
 
 class LemmaCheck(NamedTuple):
@@ -84,7 +80,7 @@ def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
     """
     bound = lower_bound(symbol, r)
     tv = tv_bounded(symbol, r).value
-    return LemmaCheck(bound, tv, tv**2)
+    return tuple.__new__(LemmaCheck, (bound, tv, tv**2))
 
 
 class LtvSample(NamedTuple):
@@ -98,7 +94,8 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
 
     TV_r is tv_closed of a closed symbol and tv_bounded of a bounded one.
     All levels share the symbol's level-independent RT data (rt._plan), and
-    the levels of one class mod A its pass over the fibers (rt._fiber_class).
+    the levels of one class mod A its pass over the fibers (rt._fiber_class),
+    so at r = kA a level costs one sine power per gamma of the double's support.
 
     Returns the samples and, when at least two distinct levels are given,
     the least-squares slope of log |TV_r| against log r (None otherwise).
@@ -110,18 +107,18 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
     if not levels:
         raise DomainError("ltv_scan needs at least one level")
     tv = tv_bounded if symbol.boundary else tv_closed
-    samples = []
+    samples, ys = [], []  # ys: log |TV_r|, taken once per level for the sample and the slope
     for r in levels:
         value = tv(symbol, r).value
         if value == 0.0:
             raise DomainError(f"invariant vanishes at r={r}; LTV is undefined")
-        samples.append(LtvSample(r, value, 2.0 * math.pi / r * math.log(abs(value))))
+        ys.append(math.log(abs(value)))
+        samples.append(tuple.__new__(LtvSample, (r, value, 2.0 * math.pi / r * ys[-1])))
 
     slope: float | None = None
     if len(set(levels)) >= 2:
-        xs = [math.log(s.r) for s in samples]
-        ys = [math.log(abs(s.tv_value)) for s in samples]
+        xs = [math.log(r) for r in levels]
         x_mean = math.fsum(xs) / len(xs)
         dx = [x - x_mean for x in xs]
-        slope = math.fsum(d * y for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
+        slope = math.fsum([d * y for d, y in zip(dx, ys)]) / math.fsum([d * d for d in dx])
     return tuple(samples), slope

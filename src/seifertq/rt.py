@@ -90,6 +90,8 @@ depend on the level itself.  The pass over the fibers (C, which fibers take
 tables, S's residues modulo lcm(D_j)) depends on r only through gcd(r, a_j),
 so on r mod A = lcm(a_j), and on the symbol only through the (a_j, b_j^*) of
 its pairs and unpaired fibers; everything else depends on the symbol alone.
+At r = kA a double's level work is one sine power and one product per gamma
+of S, read straight from S's residues, and the sine level sum per (r, E).
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -121,7 +123,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .congruence import _crt_fold, _dedekind
 from .errors import DomainError, _in_float_range, _is_int, _require_level
-from .symbols import SeifertSymbol, _require_symbol, euler_number
+from .symbols import SeifertSymbol, _require_symbol, double, euler_number
 
 __all__ = [
     "InvariantValue",
@@ -142,7 +144,8 @@ class InvariantValue(NamedTuple):
     measures cancellation: the literal (gamma, mu, m) sum Z for "direct"
     (evaluated by per-fiber Gauss sums; "rt" and the TV methods scale it by
     |P1 P2 P3|), the (gamma, mu, p) closed-form terms for "simplified", and the
-    admissible colorings' weights for "state-sum".
+    admissible colorings' weights for "state-sum".  The evaluators on the scan
+    path build it by tuple.__new__, skipping a named tuple's Python __new__.
     """
 
     value: complex
@@ -214,9 +217,9 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     Per level: the Gauss tables of the fibers _fiber_class lists, and O(|S| n)
     terms and |S| sines on the support S (_support).  Where S is every gamma
     those sines give the magnitude sum, else _scale_sum does.  A pair with
-    gcd(r, a) > 1 costs one integer product, and where nothing else depends on
-    gamma (every double at r = kA) there is no loop over S.  The rest comes
-    from the caches _plan and _fiber_class.
+    gcd(r, a) > 1 costs one integer product; where nothing else depends on gamma
+    (every double at r = kA) each gamma of S costs one sine power and one product,
+    read straight from S's residues.  The rest comes from _plan and _fiber_class.
     """
     _require_symbol(symbol)
     _require_level(r)
@@ -224,19 +227,23 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, per_gamma, A, pairs, unpaired = _plan(symbol)[:8]
     weight, tabled, residues, modulus = _fiber_class(pairs, unpaired, r % A)
-    tables = [(a, bstar, _gauss_table(a, bstar, r), paired) for a, bstar, paired in tabled]  # tables depend on r
-    support = _support(residues, modulus, r)  # at each of its gamma every table has a nonzero entry
-    scales = _scales(support, r, exponent)
-
-    # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
-    magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
-    if not magnitude < math.inf:
-        value = magnitude  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
-    elif not (tables or e_num or odd_sign):
-        value = complex(math.fsum(map(weight.__mul__, scales)))  # each term is weight sin^-E, of one sign
+    if not (tabled or e_num or odd_sign):  # every double at r = kA: each term is weight sin^-E, of one sign
+        # over _support's lifts, taken inline; modulus 1 leaves no fiber, so weight is 1 and the terms are the scales
+        terms = [
+            weight * math.sin(math.pi * gamma / r) ** -exponent
+            for residue in residues
+            for gamma in range(residue or modulus, r, modulus)
+        ]
+        magnitude = per_gamma * (math.fsum(terms) if modulus == 1 else _scale_sum(r, exponent))
+        value = complex(math.fsum(terms)) if magnitude < math.inf else magnitude
     else:
-        terms = []
-        for gamma, scale in zip(support, scales):
+        tables = [(a, bstar, _gauss_table(a, bstar, r), paired) for a, bstar, paired in tabled]  # tables depend on r
+        support = _support(residues, modulus, r)  # at each of its gamma every table has a nonzero entry
+        scales = _scales(support, r, exponent)
+        # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
+        magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
+        terms = []  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
+        for gamma, scale in zip(support, scales) if magnitude < math.inf else ():
             term = -weight * scale if gamma & odd_sign else weight * scale
             for a, bstar, table, paired in tables:
                 phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
@@ -244,8 +251,8 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
                 factor = phase.conjugate() * plus - phase * minus
                 term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
             terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
-        value = _fsum_complex(terms)
-    return InvariantValue(value, r, "direct", (r - 1) * per_gamma, magnitude)
+        value = _fsum_complex(terms) if magnitude < math.inf else magnitude
+    return tuple.__new__(InvariantValue, (value, r, "direct", (r - 1) * per_gamma, magnitude, ()))
 
 
 @functools.lru_cache(maxsize=256)
@@ -284,16 +291,20 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[float, tuple, tuple[in
     _require_level(r)
     if not symbol.boundary:
         raise DomainError("the simplified form and the lower bound apply to symbols with boundary")
-    if not symbol.fibers or any(a < 2 for a, _ in symbol.fibers):
+    fibers = symbol.fibers
+    if not fibers or min(fibers)[0] < 2:
         raise DomainError(
             "the simplified form and the lower bound need at least one fiber and "
             "every multiplicity >= 2; normalize the symbol to absorb unit fibers"
         )
-    A = math.lcm(*(a for a, _ in symbol.fibers))
+    multiplicities = dict(fibers)  # one key per multiplicity
+    A = math.lcm(*multiplicities)
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
     # each a_j | r is odd and >= 3, so a gamma of B has one mu; at A, (D, t0) = (a_j, 0), and a residue is its one lift
-    return _fiber_class(tuple([(a, pow(b, -1, a)) for a, b in symbol.fibers]), (), 0)
+    # _plan keys D(M) by its pairs in _pair_off's order, which is M's fiber order when no two fibers share an a
+    pairs = fibers if len(multiplicities) == len(fibers) else _pair_off(double(symbol).fibers)[0]
+    return _fiber_class(tuple([(a, pow(b, -1, a)) for a, b in pairs]), (), 0)
 
 
 @_in_float_range
@@ -358,16 +369,16 @@ def _plan(symbol: SeifertSymbol) -> tuple:
 def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT invariant of a closed symbol at level r.
 
-    Costs one z_direct, then P1's phase and P2's power of r; the rest of the
-    prefactor comes from the symbol's _plan.
+    Costs one z_direct, then P2's power of r and, unless P1 is 1 as on a
+    double, P1's phase; the rest of the prefactor comes from the symbol's _plan.
     """
     z = z_direct(symbol, r)  # checks that symbol is a closed SeifertSymbol and r a level, and builds its plan
     num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[8:]
-    prefactor = _phase(num, 2 * r * den) * (p2_sign * float(r) ** p2_power / p2_den) * p3
+    p1 = _phase(num, 2 * r * den) if num else _QUARTER_PHASES[0]  # 1 at every level where num = 0, as on a double
+    prefactor = p1 * (p2_sign * float(r) ** p2_power / p2_den) * p3
     # -0.0 + 0.0 is +0.0: a part that is zero is +0.0, whatever P2's sign
-    return InvariantValue(
-        prefactor * z.value + 0j, r, "rt", z.term_count, abs(prefactor) * z.term_magnitude_sum, z.warnings
-    )
+    fields = (prefactor * z.value + 0j, r, "rt", z.term_count, abs(prefactor) * z.term_magnitude_sum, z.warnings)
+    return tuple.__new__(InvariantValue, fields)
 
 
 @_in_float_range

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -428,3 +429,28 @@ def test_csv_writes_nested_values_as_json(capsys):
     rows = dict(csv.reader(io.StringIO(out)))
     assert json.loads(rows["symbol"]) == payload["symbol"]
     assert json.loads(rows["value"]) == payload["value"]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def test_output_bytes_match_the_golden_file(capsys, monkeypatch, tmp_path):
+    # data/make_cli_golden.py wrote each argv's exit code and stdout; its --tri paths are relative to the checkout,
+    # so they are laid out under a scratch directory from the packaged triangulations
+    monkeypatch.chdir(tmp_path)
+    for case in GOLDEN:
+        argv = case["argv"]
+        if "--tri" in argv:
+            path = Path(argv[argv.index("--tri") + 1])
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes((files("seifertq") / "data" / path.name).read_bytes())
+    mismatched = []
+    for case in GOLDEN:
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        if (code, capsys.readouterr().out) != (case["exit_code"], case["stdout"]):
+            mismatched.append(case["argv"])
+    assert len(GOLDEN) == 16
+    assert mismatched == []

@@ -247,50 +247,58 @@ def test_z_direct_equals_full_loop(case, clear_rt_caches):
         assert _fields(cold) == _fields(want)
 
 
-def _record_support_and_phases(monkeypatch):
-    """Record each support z_direct sums over, and the calls to _phase by (num, den)."""
-    supports, phases = [], Counter()
-    support, phase = seifertq.rt._support, seifertq.rt._phase
+def _record_support_and_phases(monkeypatch, r):
+    """Record the gamma of each sine sin(pi gamma / r) z_direct takes at level r, and the calls to _phase by (num, den).
 
-    def recording_support(residues, modulus, r):
-        supports.append(list(support(residues, modulus, r)))
-        return supports[-1]
+    z_direct takes one sine per gamma it sums; the first _scale_sum(r, E) of a process takes the level's r - 1
+    sines as well, so callers whose support is not every gamma evaluate once before they record.
+    """
+    gammas, phases = [], Counter()
+    sin, phase = math.sin, seifertq.rt._phase
+
+    def recording_sin(x):
+        gammas.append(round(x * r / math.pi))
+        return sin(x)
 
     def counting_phase(num, den):
         phases[num, den] += 1
         return phase(num, den)
 
-    monkeypatch.setattr(seifertq.rt, "_support", recording_support)
+    monkeypatch.setattr(math, "sin", recording_sin)
     monkeypatch.setattr(seifertq.rt, "_phase", counting_phase)
-    return supports, phases
+    return gammas, phases
 
 
 def _support_of(symbol, r):
-    """The support z_direct sums over for a closed symbol at level r, lifted from the residues of its fiber pass."""
+    """The support z_direct sums over for a closed symbol at level r: the gamma of the sines it takes once warm."""
+    z_direct(symbol, r)  # caches the level sum of sines, which a first call takes besides the support's
     with pytest.MonkeyPatch.context() as patch:
-        supports, _ = _record_support_and_phases(patch)
+        gammas, _ = _record_support_and_phases(patch, r)
         z_direct(symbol, r)
-    return supports[0]
+    return gammas
 
 
 def test_z_direct_sums_only_the_surviving_gamma(monkeypatch):
-    supports, phases = _record_support_and_phases(monkeypatch)
     r = 9 * 45
-    z_direct(double(SeifertSymbol("o", 1, ((45, 1),), boundary=True)), r)
+    doubled = double(SeifertSymbol("o", 1, ((45, 1),), boundary=True))
+    z_direct(doubled, r)  # caches the level sum of sines
+    gammas, phases = _record_support_and_phases(monkeypatch, r)
+    z_direct(doubled, r)
     # gamma == -+1 (mod 45), lifted by 45 nine times
     surviving = sorted(p * 45 + t for p in range(9) for t in (1, 44))
     assert len(surviving) == 2 * 9
-    assert [sorted(support) for support in supports] == [surviving]
+    assert sorted(gammas) == surviving
     # gcd(r, 45) = 45, so the pair (45, 1), (45, -1) takes |F|^2 = 45^2 with no table and no phase
     # exp(i pi gamma / (45 r)); e = 0 needs no Euler phase exp(0 / 2r) either
     assert [(num, den) for num, den in phases if den in (45 * r, 2 * r)] == []
 
 
 def test_z_direct_visits_each_gamma_once_at_a_coprime_level(monkeypatch):
-    supports, phases = _record_support_and_phases(monkeypatch)
     r = 27
+    gammas, phases = _record_support_and_phases(monkeypatch, r)
+    # the support is every gamma, so its sines give the level sum: no other sine is taken, cold or warm
     z_direct(SeifertSymbol("n", 2, ((7, 2), (11, 3), (7, -2), (1, 1))), r)
-    assert [sorted(support) for support in supports] == [list(range(1, r))]
+    assert sorted(gammas) == list(range(1, r))
     # an odd a coprime to r leaves no Gauss sum zero, so every gamma reaches the fiber (11, 3)
     assert {num: count for (num, den), count in phases.items() if den == 11 * r} == dict.fromkeys(range(1, r), 1)
 
@@ -351,10 +359,12 @@ def test_mirrored_pair_sharing_a_factor_with_r_has_modulus_a_d_on_its_support():
 
 
 def test_z_direct_sums_nothing_where_every_gamma_meets_a_vanishing_gauss_sum(monkeypatch):
-    supports, _ = _record_support_and_phases(monkeypatch)
+    symbol = SeifertSymbol("o", 1, ((2, 1), (4, 1)))
+    z_direct(symbol, 101)  # caches the level sum of sines
+    gammas, _ = _record_support_and_phases(monkeypatch, 101)
     # (2, 1) is nonzero at even gamma only and (4, 1) at odd gamma only, so the support is empty
-    z = z_direct(SeifertSymbol("o", 1, ((2, 1), (4, 1))), 101)
-    assert supports == [[]]
+    z = z_direct(symbol, 101)
+    assert gammas == []
     assert _bits(z.value) == _bits(0j)
     assert z.term_count == 100 * 2**2 * 2 * 4
 
@@ -696,10 +706,11 @@ def test_rt_parts_that_are_zero_are_positive_zero(part):
     assert (value, math.copysign(1.0, value)) == (0.0, 1.0)
 
 
-def _single_gamma(call, gamma):
-    """call() with z_direct's support replaced by the single gamma given."""
+def _single_gamma(call, gamma, r):
+    """call() with z_direct's support at level r replaced by the single gamma given, the one lift of gamma mod r."""
+    fiber_class = seifertq.rt._fiber_class
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seifertq.rt, "_support", lambda residues, modulus, r: [gamma])
+        patch.setattr(seifertq.rt, "_fiber_class", lambda *key: fiber_class(*key)[:2] + ((gamma,), r))
         return call()
 
 
@@ -711,7 +722,7 @@ def test_double_sums_terms_of_one_sign(symbol, r):
     doubled, sign = double(symbol), (-1) ** len(symbol.fibers)
     total = z_direct(doubled, r).value
     support = _support_of(doubled, r)
-    terms = [_single_gamma(lambda: z_direct(doubled, r), gamma).value for gamma in support]
+    terms = [_single_gamma(lambda: z_direct(doubled, r), gamma, r).value for gamma in support]
     assert all(term.imag == 0.0 and sign * term.real >= 0.0 for term in terms)
     assert math.fsum(term.real for term in terms) == total.real
 
@@ -842,17 +853,23 @@ def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate, clear_r
     assert checked == []
 
 
-def test_bound_and_invariant_share_the_double_s_pass(clear_rt_caches):
-    # M's fibers are one of each pair of D(M): at r == 0 (mod A) the bound reads the pass z_direct builds
-    clear_rt_caches()
-    lower_bound(ANCHOR_SYMBOL, 15)
-    z_direct(double(ANCHOR_SYMBOL), 45)
-    assert _fiber_class.cache_info()[:2] == (1, 1)
-    # two symbols that differ only in base and genus have doubles with one fiber list
-    clear_rt_caches()
-    tv_bounded(ANCHOR_SYMBOL, 15)
-    tv_bounded(SeifertSymbol("n", 2, ANCHOR_SYMBOL.fibers, boundary=True), 15)
-    assert (_fiber_class.cache_info()[:2], _plan.cache_info().misses) == ((1, 1), 2)
+def test_bound_and_invariant_share_the_double_s_pass(monkeypatch, clear_rt_caches):
+    fold, folds = seifertq.rt._crt_fold, []
+    monkeypatch.setattr(seifertq.rt, "_crt_fold", lambda constraints: folds.append(constraints) or fold(constraints))
+    # the second symbol holds a mirrored pair after another fiber, which _pair_off lists first among D(M)'s pairs
+    for symbol in (ANCHOR_SYMBOL, SeifertSymbol("o", 1, ((3, 2), (5, 1), (5, 4)), boundary=True)):
+        # M's fibers are one of each pair of D(M): at r == 0 (mod A) the bound reads the pass z_direct builds
+        clear_rt_caches()
+        folds.clear()
+        lower_bound(symbol, 15)
+        z_direct(double(symbol), 45)
+        assert len(folds) == 1, symbol
+        # two symbols that differ only in base and genus have doubles with one fiber list
+        clear_rt_caches()
+        folds.clear()
+        tv_bounded(symbol, 15)
+        tv_bounded(SeifertSymbol("n", 2, symbol.fibers, boundary=True), 15)
+        assert len(folds) == 1, symbol
 
 
 def test_rt_path_checks_each_fiber_once(monkeypatch):
