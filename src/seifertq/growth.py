@@ -55,7 +55,7 @@ def lower_bound(symbol: SeifertSymbol, r: int) -> LowerBound:
         float(r) ** (a_eps_g - 1) * 2.0 * cardinality * k * math.prod([a for a, _ in fibers])
         / 2.0 ** (2 * len(fibers) + a_eps_g - 1)
     )
-    return tuple.__new__(LowerBound, (value, r, A, k, cardinality, ()))  # skips the Python-level __new__, as rt does
+    return LowerBound(value, r, A, k, cardinality)
 
 
 class LemmaCheck(NamedTuple):
@@ -80,7 +80,7 @@ def verify_lemma(symbol: SeifertSymbol, r: int) -> LemmaCheck:
     """
     bound = lower_bound(symbol, r)
     tv = tv_bounded(symbol, r).value
-    return tuple.__new__(LemmaCheck, (bound, tv, tv**2))
+    return LemmaCheck(bound, tv, tv**2)
 
 
 class LtvSample(NamedTuple):
@@ -113,7 +113,7 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
         if value == 0.0:
             raise DomainError(f"invariant vanishes at r={r}; LTV is undefined")
         ys.append(math.log(abs(value)))
-        samples.append(tuple.__new__(LtvSample, (r, value, 2.0 * math.pi / r * ys[-1])))
+        samples.append(LtvSample(r, value, 2.0 * math.pi / r * ys[-1]))
 
     slope: float | None = None
     if len(set(levels)) >= 2:

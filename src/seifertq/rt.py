@@ -64,7 +64,7 @@ among the t that occur, built for at most (a_j / d) min(a_j, r) terms; a pair
 multiplies each term by |F_j|^2, an unpaired fiber by F_j.
 When no table, no Euler phase and no sign (-1)^{gamma a_eps g} remain, as on
 every double at r = k lcm(a_j) (d = a_j), Z is the fsum of +-C sin^{-E}(pi
-gamma / r) over S, with no loop over gamma.  When a_j | r the
+gamma / r) over S, one sine power per gamma.  When a_j | r the
 table of an unpaired fiber is the single exact entry H_j(t) = a_j [t == 0
 mod a_j]; on a double at r = k lcm(a_j), S is the k lifts of the gamma of
 the congruence system below.
@@ -110,7 +110,7 @@ odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma of B are
 the support at level A.  M's fibers are one of each pair of D(M), so
 z_double_simplified reads z_direct's pass over them at r == 0 (mod A), the
 weight (-1)^n (prod_j a_j)^2 and the gamma of B, and lifts that support k
-times: its terms are z_direct's, and the two sums are equal.
+times: both take their terms from _double_terms, and the two sums are equal.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .congruence import _crt_fold, _dedekind
 from .errors import DomainError, _in_float_range, _is_int, _require_level
-from .symbols import SeifertSymbol, _require_symbol, double, euler_number
+from .symbols import SeifertSymbol, _require_symbol, euler_number
 
 __all__ = [
     "InvariantValue",
@@ -144,8 +144,7 @@ class InvariantValue(NamedTuple):
     measures cancellation: the literal (gamma, mu, m) sum Z for "direct"
     (evaluated by per-fiber Gauss sums; "rt" and the TV methods scale it by
     |P1 P2 P3|), the (gamma, mu, p) closed-form terms for "simplified", and the
-    admissible colorings' weights for "state-sum".  The evaluators on the scan
-    path build it by tuple.__new__, skipping a named tuple's Python __new__.
+    admissible colorings' weights for "state-sum".
     """
 
     value: complex
@@ -199,6 +198,11 @@ def _support(residues: tuple[int, ...], modulus: int, r: int) -> Sequence[int]:
     return [gamma for residue in residues for gamma in range(residue or modulus, r, modulus)]  # 0 lifts from modulus
 
 
+def _double_terms(weight: float, residues: tuple[int, ...], modulus: int, r: int, exponent: int) -> list[float]:
+    """A double's terms at r = kA: weight * sin^{-E}(pi gamma / r) over _support(residues, modulus, r), in order."""
+    return [weight * math.sin(math.pi * g / r) ** -exponent for t in residues for g in range(t or modulus, r, modulus)]
+
+
 def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
     """sin^{-E}(pi gamma / r) for each gamma, in order."""
     return list(map(pow, map(math.sin, [math.pi * gamma / r for gamma in gammas]), repeat(-exponent)))
@@ -228,12 +232,7 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     e_num, e_den, exponent, odd_sign, per_gamma, A, pairs, unpaired = _plan(symbol)[:8]
     weight, tabled, residues, modulus = _fiber_class(pairs, unpaired, r % A)
     if not (tabled or e_num or odd_sign):  # every double at r = kA: each term is weight sin^-E, of one sign
-        # over _support's lifts, taken inline; modulus 1 leaves no fiber, so weight is 1 and the terms are the scales
-        terms = [
-            weight * math.sin(math.pi * gamma / r) ** -exponent
-            for residue in residues
-            for gamma in range(residue or modulus, r, modulus)
-        ]
+        terms = _double_terms(weight, residues, modulus, r, exponent)  # modulus 1: no fiber, weight 1, every scale
         magnitude = per_gamma * (math.fsum(terms) if modulus == 1 else _scale_sum(r, exponent))
         value = complex(math.fsum(terms)) if magnitude < math.inf else magnitude
     else:
@@ -242,16 +241,19 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
         scales = _scales(support, r, exponent)
         # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
         magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
-        terms = []  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
-        for gamma, scale in zip(support, scales) if magnitude < math.inf else ():
-            term = -weight * scale if gamma & odd_sign else weight * scale
-            for a, bstar, table, paired in tables:
-                phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
-                plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
-                factor = phase.conjugate() * plus - phase * minus
-                term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
-            terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
-        value = _fsum_complex(terms) if magnitude < math.inf else magnitude
+        if not magnitude < math.inf:
+            value = magnitude  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
+        else:
+            terms = []
+            for gamma, scale in zip(support, scales):
+                term = -weight * scale if gamma & odd_sign else weight * scale
+                for a, bstar, table, paired in tables:
+                    phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
+                    plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
+                    factor = phase.conjugate() * plus - phase * minus
+                    term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
+                terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
+            value = _fsum_complex(terms)
     return tuple.__new__(InvariantValue, (value, r, "direct", (r - 1) * per_gamma, magnitude, ()))
 
 
@@ -302,8 +304,8 @@ def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[float, tuple, tuple[in
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
     # each a_j | r is odd and >= 3, so a gamma of B has one mu; at A, (D, t0) = (a_j, 0), and a residue is its one lift
-    # _plan keys D(M) by its pairs in _pair_off's order, which is M's fiber order when no two fibers share an a
-    pairs = fibers if len(multiplicities) == len(fibers) else _pair_off(double(symbol).fibers)[0]
+    # _plan's key for D(M) is its _pair_off pairs: M's fibers when no two share an a, as M then pairs none of its own
+    pairs = fibers if len(multiplicities) == len(fibers) else _pair_off(fibers + tuple([(a, -b) for a, b in fibers]))[0]
     return _fiber_class(tuple([(a, pow(b, -1, a)) for a, b in pairs]), (), 0)
 
 
@@ -315,12 +317,12 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     level r that is an odd multiple of A = lcm(a_j).  An empty B gives +0.0, with a warning.
     """
     weight, _, gammas, modulus = _double_setup(symbol, r)
-    lifts = _support(gammas, modulus, r)  # gamma + p A for p < k = r / A
     exponent = 2 * len(symbol.fibers) + 2 * symbol.a_eps * symbol.genus - 2
-    # a sine power past the float range raises OverflowError, which _in_float_range rejects
-    value = math.fsum(map(weight.__mul__, _scales(lifts, r, exponent)))
+    # one term per lift gamma + p A, p < k = r / A; a sine power past the float range raises OverflowError
+    terms = _double_terms(weight, gammas, modulus, r, exponent)
+    value = math.fsum(terms)
     warnings = () if gammas else ("empty congruence solution set; the sum vanishes identically",)
-    return InvariantValue(value, r, "simplified", len(lifts), abs(value), warnings)
+    return InvariantValue(value, r, "simplified", len(terms), abs(value), warnings)
 
 
 def _pair_off(fibers: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -378,7 +380,7 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     prefactor = p1 * (p2_sign * float(r) ** p2_power / p2_den) * p3
     # -0.0 + 0.0 is +0.0: a part that is zero is +0.0, whatever P2's sign
     fields = (prefactor * z.value + 0j, r, "rt", z.term_count, abs(prefactor) * z.term_magnitude_sum, z.warnings)
-    return tuple.__new__(InvariantValue, fields)
+    return tuple.__new__(InvariantValue, fields)  # as in z_direct, no arity check: test_rt checks every field
 
 
 @_in_float_range

@@ -21,12 +21,11 @@ __all__ = ["tv_closed", "tv_bounded"]
 def tv_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """|RT|^2 of a closed symbol."""
     rt = rt_closed(symbol, r)
-    fields = (abs(rt.value) ** 2, rt.r, "tv-closed", rt.term_count, rt.term_magnitude_sum, rt.warnings)
-    return tuple.__new__(InvariantValue, fields)
+    return InvariantValue(abs(rt.value) ** 2, rt.r, "tv-closed", rt.term_count, rt.term_magnitude_sum, rt.warnings)
 
 
 def tv_bounded(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT of the orientation double of a bounded symbol, which is real; its errors are double's and rt_closed's."""
     rt = rt_closed(double(symbol), r)
     fields = (rt.value.real, rt.r, "tv-bounded", rt.term_count, rt.term_magnitude_sum, rt.warnings)
-    return tuple.__new__(InvariantValue, fields)
+    return tuple.__new__(InvariantValue, fields)  # as in rt.z_direct, no arity check: test_rt checks every field

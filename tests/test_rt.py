@@ -872,6 +872,27 @@ def test_bound_and_invariant_share_the_double_s_pass(monkeypatch, clear_rt_cache
         assert len(folds) == 1, symbol
 
 
+@settings(deadline=None)
+@given(symbol=odd_modulus_symbols())
+@example(symbol=SeifertSymbol("o", 1, ((3, 2), (5, 1), (5, 4)), boundary=True))  # a pair of M after another fiber
+@example(symbol=SeifertSymbol("o", 1, ((5, 1), (5, 4), (5, 1)), boundary=True))  # a pair and a third of its a
+def test_double_setup_keys_the_pass_as_the_double_s_plan_does(symbol):
+    # M's fibers when no two share an a, _pair_off's pairs of D(M) otherwise: either way the key _plan builds
+    pairs, unpaired = _plan(double(symbol))[6:8]
+    assert unpaired == ()
+    setup = seifertq.rt._double_setup(symbol, math.lcm(*(a for a, _ in symbol.fibers)))
+    assert setup is _fiber_class(pairs, (), 0)  # one cache entry: a key that differed would build another
+
+
+@pytest.mark.parametrize("evaluate", [z_direct, rt_closed, tv_bounded])
+def test_results_built_without_the_arity_check_have_every_field(evaluate):
+    # these three build InvariantValue by tuple.__new__, which would not reject a missing field
+    symbol = ANCHOR_SYMBOL if evaluate is tv_bounded else double(ANCHOR_SYMBOL)
+    for r in (15, 17):  # the double's r = kA branch, then the general one
+        result = evaluate(symbol, r)
+        assert len(result) == len(InvariantValue._fields) and result == InvariantValue(*result)
+
+
 def test_rt_path_checks_each_fiber_once(monkeypatch):
     closed = double(ANCHOR_SYMBOL)
     unpaired = SeifertSymbol("o", 1, ((3, 1), (5, 2)))  # no fiber pairs off, so P1 takes both Dedekind sums
