@@ -93,9 +93,9 @@ def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSam
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
     TV_r is tv_closed of a closed symbol and tv_bounded of a bounded one.
-    All levels share the symbol's level-independent RT data (rt._plan), and
-    the levels of one class mod A its pass over the fibers (rt._fiber_class),
-    so at r = kA a level costs one sine power per gamma of the double's support.
+    D(M) and the RT data of all levels are built once (rt._bounded_plan, _plan),
+    the pass over the fibers once per class mod A (rt._fiber_class): at r = kA a
+    level costs one sine power per gamma of the double's support.
 
     Returns the samples and, when at least two distinct levels are given,
     the least-squares slope of log |TV_r| against log r (None otherwise).

@@ -107,10 +107,10 @@ an exactly-zero value when the solution set B is empty, and a manifestly
 positive-or-negative real number otherwise.  It is the pair form above at
 r = kA, where each pair's |F|^2 is a_j D = a_j^2 on the support.  As r is
 odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma of B are
-the support at level A.  M's fibers are one of each pair of D(M), so
-z_double_simplified reads z_direct's pass over them at r == 0 (mod A), the
-weight (-1)^n (prod_j a_j)^2 and the gamma of B, and lifts that support k
-times: both take their terms from _double_terms, and the two sums are equal.
+the support at level A.  D(M), A and z_direct's pass over D(M)'s pairs at
+r == 0 (mod A) (the weight (-1)^n (prod_j a_j)^2, the gamma of B) depend on
+M alone: _bounded_plan builds them once per symbol.  z_double_simplified lifts
+that support k times by z_direct's kernel _double_terms: the sums are equal.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .congruence import _crt_fold, _dedekind
 from .errors import DomainError, _in_float_range, _is_int, _require_level
-from .symbols import SeifertSymbol, _require_symbol, euler_number
+from .symbols import SeifertSymbol, _require_symbol, double, euler_number
 
 __all__ = [
     "InvariantValue",
@@ -283,30 +283,39 @@ def _fiber_class(pairs: tuple, unpaired: tuple, residue: int) -> tuple[float, tu
     return float(-constant if len(pairs) % 2 else constant), tuple(tabled), tuple(sorted(residues)), modulus
 
 
+@functools.lru_cache(maxsize=256)
+def _bounded_plan(symbol: SeifertSymbol) -> tuple[SeifertSymbol, int | None, tuple | None]:
+    """(D(M), A = lcm(a_j), D(M)'s pass at r == 0 (mod A)) of a checked bounded M, once per symbol per process.
+
+    A and the pass are None unless M has fibers, all a_j >= 2; the pass is the _fiber_class entry under _plan(D(M))'s
+    key, built without that plan.  Callers check the type first, as an equal plain tuple would hit the cache.
+    """
+    closed, fibers = double(symbol), symbol.fibers
+    if not fibers or min(fibers)[0] < 2:
+        return closed, None, None
+    pairs = _pair_off(closed.fibers)[0]
+    return closed, math.lcm(*dict(fibers)), _fiber_class(tuple([(a, pow(b, -1, a)) for a, b in pairs]), (), 0)
+
+
 def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[float, tuple, tuple[int, ...], int]:
     """Check the preconditions the simplified form and the growth bound share; return D(M)'s pass at r == 0 (mod A).
 
-    M's fibers are one of each pair of D(M): z_direct's entry for the double at every level r = kA,
-    (weight, (), the gamma of B, modulus), with modulus A when B is nonempty.
+    The pass is z_direct's entry for the double at every level r = kA, (weight, (), the gamma of B, modulus),
+    with modulus A when B is nonempty.  A and the entry come from _bounded_plan; the checks run on every call.
     """
     _require_symbol(symbol)
     _require_level(r)
     if not symbol.boundary:
         raise DomainError("the simplified form and the lower bound apply to symbols with boundary")
-    fibers = symbol.fibers
-    if not fibers or min(fibers)[0] < 2:
+    _, A, entry = _bounded_plan(symbol)
+    if A is None:
         raise DomainError(
             "the simplified form and the lower bound need at least one fiber and "
             "every multiplicity >= 2; normalize the symbol to absorb unit fibers"
         )
-    multiplicities = dict(fibers)  # one key per multiplicity
-    A = math.lcm(*multiplicities)
     if r % A:
         raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
-    # each a_j | r is odd and >= 3, so a gamma of B has one mu; at A, (D, t0) = (a_j, 0), and a residue is its one lift
-    # _plan's key for D(M) is its _pair_off pairs: M's fibers when no two share an a, as M then pairs none of its own
-    pairs = fibers if len(multiplicities) == len(fibers) else _pair_off(fibers + tuple([(a, -b) for a, b in fibers]))[0]
-    return _fiber_class(tuple([(a, pow(b, -1, a)) for a, b in pairs]), (), 0)
+    return entry  # each a_j | r is odd and >= 3: a gamma of B has one mu, and at A a residue is its one lift
 
 
 @_in_float_range
@@ -326,18 +335,16 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
 
 
 def _pair_off(fibers: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Cancel each fiber (a, b mod a) against one (a, -b mod a).
-
-    Returns one fiber of each mirrored pair, and the fibers left unpaired in symbol order.
-    """
-    pairs, waiting = [], {}  # (a, b mod a) -> indices of the fibers not yet paired
+    """Cancel each fiber (a, b mod a) against one (a, -b mod a): one fiber of each pair, the rest in symbol order."""
+    pairs, waiting, left = [], {}, [True] * len(fibers)  # waiting: (a, b mod a) -> indices of fibers not yet paired
     for i, (a, b) in enumerate(fibers):
         mirrors = waiting.get((a, -b % a))
         if mirrors:
-            pairs.append(fibers[mirrors.pop()])
+            pairs.append(fibers[j := mirrors.pop()])
+            left[i] = left[j] = False
         else:
             waiting.setdefault((a, b % a), []).append(i)
-    return pairs, [fibers[i] for i in sorted(i for left in waiting.values() for i in left)]
+    return pairs, list(compress(fibers, left))
 
 
 @functools.lru_cache(maxsize=256)

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import sys
 from importlib.resources import files
 
 import pytest
 
-import seifertq.rt
+import seifertq
 from seifertq import load_triangulation
 
 
 @pytest.fixture(scope="session")
 def clear_rt_caches():
-    """A function that empties every functools cache of seifertq.rt, so that the next evaluation starts cold."""
+    """A function that empties every functools cache of every seifertq module, so that the next evaluation starts cold.
+
+    That is rt's caches and congruence._mu, and any cache a module defines later; each is found where it is defined.
+    """
+    seifertq.__all__  # imports every submodule
     caches = [
         value
-        for value in vars(seifertq.rt).values()
-        if hasattr(value, "cache_clear") and value.__module__ == seifertq.rt.__name__
+        for name, module in sys.modules.items()
+        if name.startswith("seifertq.")
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and value.__module__ == name
     ]
 
     def clear():

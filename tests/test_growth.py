@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +27,7 @@ from seifertq import (
     tv_bounded,
     tv_closed,
     verify_lemma,
+    z_double_simplified,
 )
 
 ANCHOR = SeifertSymbol("o", 1, ((3, 1), (5, 1)), boundary=True)
@@ -100,7 +103,7 @@ def test_lemma_evaluates_rt_once(monkeypatch):
     assert calls == [(double(ANCHOR), 15)]
 
 
-def test_ltv_scan_builds_one_double_per_level(monkeypatch, clear_rt_caches):
+def test_ltv_scan_and_lemma_build_one_double_per_symbol(monkeypatch, clear_rt_caches):
     fiber, checked, doubles = seifertq.congruence._fiber, [], []
 
     def counting(a, b):
@@ -112,14 +115,17 @@ def test_ltv_scan_builds_one_double_per_level(monkeypatch, clear_rt_caches):
         return double(symbol)
 
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
-    monkeypatch.setattr(seifertq.tv, "double", counting_double)
+    monkeypatch.setattr(seifertq.rt, "double", counting_double)  # the binding rt._bounded_plan calls
     clear_rt_caches()
     samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
-    # tv_bounded builds the double at each level from ANCHOR's checked fibers, so no fiber is checked again
-    assert doubles == [ANCHOR] * 3
+    check = verify_lemma(ANCHOR, 15)
+    # D(M) is built once, from ANCHOR's checked fibers, for every level and the lemma, so no fiber is checked again
+    assert doubles == [ANCHOR]
     assert checked == []
     monkeypatch.undo()
+    clear_rt_caches()
     assert [s.tv_value for s in samples] == [tv_bounded(ANCHOR, r).value for r in (15, 45, 75)]
+    assert check.tv_bounded_value == samples[0].tv_value
 
 
 @st.composite
@@ -257,3 +263,28 @@ def test_ltv_scan_reads_an_iterator_once():
 def test_ltv_scan_rejects_an_empty_iterator():
     with pytest.raises(DomainError):
         ltv_scan(ANCHOR, iter([]))
+
+
+BOUNDED_GOLDEN = json.loads((Path(__file__).parent / "data" / "bounded_golden.json").read_text(encoding="utf-8"))
+
+
+def _outcome(call, *args) -> str:
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_bounded_path_matches_the_golden_file():
+    # data/make_bounded_golden.py wrote each symbol's results at A, 3A and 2A + 1, or the error each call raised
+    mismatched = []
+    for case in BOUNDED_GOLDEN:
+        epsilon, genus, fibers = case["symbol"]
+        symbol, levels = SeifertSymbol(epsilon, genus, tuple(map(tuple, fibers)), boundary=True), case["levels"]
+        calls = (tv_bounded, lower_bound, verify_lemma, z_double_simplified)
+        outcomes = {call.__name__: [_outcome(call, symbol, r) for r in levels] for call in calls}
+        outcomes["ltv_scan"] = _outcome(ltv_scan, symbol, levels)
+        if outcomes != case["outcomes"]:
+            mismatched.append(case["symbol"])
+    assert len(BOUNDED_GOLDEN) == 157
+    assert mismatched == []

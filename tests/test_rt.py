@@ -567,13 +567,17 @@ def test_fiber_class_built_at_one_level_serves_its_class(case, clear_rt_caches):
         assert repr(z_direct(symbol, level)) == repr(value)  # bit for bit, signs of zero included
 
 
-@pytest.mark.parametrize("cache", [_plan, _fiber_class], ids=["plan", "fiber_class"])
+@pytest.mark.parametrize(
+    "cache", [_plan, _fiber_class, seifertq.rt._bounded_plan], ids=["plan", "fiber_class", "bounded_plan"]
+)
 def test_plan_cache_is_bounded(cache, clear_rt_caches):
-    # every symbol below has its own fiber list, so each is a new key of both caches
+    # every symbol below has its own fiber list, so each is a new key of every cache; at r = a, tv_bounded's
+    # z_direct reads the pass _bounded_plan keys at r == 0 (mod a), so it adds one key to _fiber_class, not two
     clear_rt_caches()
     maxsize = cache.cache_info().maxsize
     for genus in range(1, maxsize + 51):
-        z_direct(SeifertSymbol("o", genus % 3 + 1, ((genus + 2, 1),)), 3)
+        a = 2 * genus + 1
+        tv_bounded(SeifertSymbol("o", genus % 3 + 1, ((a, 1),), boundary=True), a)
     info = cache.cache_info()
     assert (info.misses, info.currsize) == (maxsize + 50, maxsize)
 
@@ -876,11 +880,12 @@ def test_bound_and_invariant_share_the_double_s_pass(monkeypatch, clear_rt_cache
 @given(symbol=odd_modulus_symbols())
 @example(symbol=SeifertSymbol("o", 1, ((3, 2), (5, 1), (5, 4)), boundary=True))  # a pair of M after another fiber
 @example(symbol=SeifertSymbol("o", 1, ((5, 1), (5, 4), (5, 1)), boundary=True))  # a pair and a third of its a
-def test_double_setup_keys_the_pass_as_the_double_s_plan_does(symbol):
-    # M's fibers when no two share an a, _pair_off's pairs of D(M) otherwise: either way the key _plan builds
+def test_double_setup_keys_the_pass_as_the_double_s_plan_does(symbol, clear_rt_caches):
+    # _bounded_plan keys the pass by _pair_off's pairs of D(M), the key _plan builds, whatever the order of M's fibers
+    clear_rt_caches()
+    setup = seifertq.rt._double_setup(symbol, math.lcm(*(a for a, _ in symbol.fibers)))
     pairs, unpaired = _plan(double(symbol))[6:8]
     assert unpaired == ()
-    setup = seifertq.rt._double_setup(symbol, math.lcm(*(a for a, _ in symbol.fibers)))
     assert setup is _fiber_class(pairs, (), 0)  # one cache entry: a key that differed would build another
 
 

@@ -347,3 +347,38 @@ def test_non_symbols_are_domain_errors(name, not_a_symbol):
     with pytest.raises(DomainError, match="expected a SeifertSymbol") as raised:
         fn(not_a_symbol, *args)
     assert raised.value.exit_code == 4
+
+
+BOUNDED_PATH = ["tv_bounded", "lower_bound", "verify_lemma", "z_double_simplified", "ltv_scan"]
+
+
+@pytest.mark.parametrize("name", BOUNDED_PATH)
+def test_a_warm_bounded_cache_still_rejects_an_equal_plain_tuple(name, clear_rt_caches):
+    # the plain tuple equals the symbol and hashes alike, so a cache read before the type check would accept it
+    fn, symbol = getattr(seifertq, name), SeifertSymbol("o", 1, ((3, 1),), boundary=True)
+    plain, level = ("o", 1, ((3, 1),), True), [3] if name == "ltv_scan" else 3
+    assert (plain, hash(plain)) == (symbol, hash(symbol))
+    clear_rt_caches()
+    fn(symbol, level)
+    with pytest.raises(DomainError, match="^expected a SeifertSymbol, got tuple$") as raised:
+        fn(plain, level)
+    assert raised.value.exit_code == 4
+
+
+@pytest.mark.parametrize(
+    "symbol, names",
+    [
+        (SeifertSymbol("o", 1, ((3, 1),)), BOUNDED_PATH[:4]),  # closed: ltv_scan takes tv_closed
+        (SeifertSymbol("o", 1, ((3, 1), (1, 2)), boundary=True), BOUNDED_PATH[1:4]),  # tv_bounded takes unit fibers
+    ],
+    ids=["closed", "unit-fiber"],
+)
+def test_bounded_path_errors_are_the_same_cold_and_warm(symbol, names, clear_rt_caches):
+    for name in names:
+        clear_rt_caches()
+        messages = []
+        for _ in range(2):  # from cold, then with whatever the first call left in the caches
+            with pytest.raises(DomainError) as raised:
+                getattr(seifertq, name)(symbol, 3)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1], name
