@@ -110,7 +110,7 @@ odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma of B are
 the support at level A.  D(M), A and z_direct's pass over D(M)'s pairs at
 r == 0 (mod A) (the weight (-1)^n (prod_j a_j)^2, the gamma of B) depend on
 M alone: _bounded_plan builds them once per symbol.  z_double_simplified lifts
-that support k times by z_direct's kernel _double_terms: the sums are equal.
+that support k times by z_direct's kernel _sine_powers: the sums are equal.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from itertools import compress, repeat
-from typing import Iterable, NamedTuple, Sequence
+from itertools import compress
+from typing import NamedTuple, Sequence
 
 from .congruence import _crt_fold, _dedekind
 from .errors import DomainError, _in_float_range, _is_int, _require_level
@@ -198,20 +198,15 @@ def _support(residues: tuple[int, ...], modulus: int, r: int) -> Sequence[int]:
     return [gamma for residue in residues for gamma in range(residue or modulus, r, modulus)]  # 0 lifts from modulus
 
 
-def _double_terms(weight: float, residues: tuple[int, ...], modulus: int, r: int, exponent: int) -> list[float]:
-    """A double's terms at r = kA: weight * sin^{-E}(pi gamma / r) over _support(residues, modulus, r), in order."""
+def _sine_powers(weight: float, residues: tuple[int, ...], modulus: int, r: int, exponent: int) -> list[float]:
+    """weight * sin^{-E}(pi gamma / r) over _support(residues, modulus, r), in order: rt's one sine power."""
     return [weight * math.sin(math.pi * g / r) ** -exponent for t in residues for g in range(t or modulus, r, modulus)]
-
-
-def _scales(gammas: Iterable[int], r: int, exponent: int) -> list[float]:
-    """sin^{-E}(pi gamma / r) for each gamma, in order."""
-    return list(map(pow, map(math.sin, [math.pi * gamma / r for gamma in gammas]), repeat(-exponent)))
 
 
 @functools.lru_cache(maxsize=1024)
 def _scale_sum(r: int, exponent: int) -> float:
-    """fsum of sin^{-E}(pi gamma / r) over gamma = 1..r-1: O(r), once per (r, E) per process."""
-    return math.fsum(_scales(range(1, r), r, exponent))
+    """fsum of sin^{-E}(pi gamma / r) over gamma = 1..r-1, the _sine_powers of every gamma: O(r), once per (r, E)."""
+    return math.fsum(_sine_powers(1.0, (0,), 1, r, exponent))
 
 
 @_in_float_range
@@ -219,11 +214,11 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
     Per level: the Gauss tables of the fibers _fiber_class lists, and O(|S| n)
-    terms and |S| sines on the support S (_support).  Where S is every gamma
-    those sines give the magnitude sum, else _scale_sum does.  A pair with
-    gcd(r, a) > 1 costs one integer product; where nothing else depends on gamma
-    (every double at r = kA) each gamma of S costs one sine power and one product,
-    read straight from S's residues.  The rest comes from _plan and _fiber_class.
+    terms and |S| sine powers (_sine_powers) on the support S (_support).  Where
+    S is every gamma those sine powers give the magnitude sum, else _scale_sum
+    does.  A pair with gcd(r, a) > 1 costs one integer product; where nothing
+    else depends on gamma (every double at r = kA) each term is one weighted sine
+    power of _sine_powers.  The rest comes from _plan and _fiber_class.
     """
     _require_symbol(symbol)
     _require_level(r)
@@ -232,13 +227,13 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     e_num, e_den, exponent, odd_sign, per_gamma, A, pairs, unpaired = _plan(symbol)[:8]
     weight, tabled, residues, modulus = _fiber_class(pairs, unpaired, r % A)
     if not (tabled or e_num or odd_sign):  # every double at r = kA: each term is weight sin^-E, of one sign
-        terms = _double_terms(weight, residues, modulus, r, exponent)  # modulus 1: no fiber, weight 1, every scale
+        terms = _sine_powers(weight, residues, modulus, r, exponent)  # modulus 1: no fiber, weight 1, every scale
         magnitude = per_gamma * (math.fsum(terms) if modulus == 1 else _scale_sum(r, exponent))
-        value = complex(math.fsum(terms)) if magnitude < math.inf else magnitude
+        value = complex(math.fsum(terms))  # one sign, no inf - inf: past the float range fsum gives +-inf or raises
     else:
         tables = [(a, bstar, _gauss_table(a, bstar, r), paired) for a, bstar, paired in tabled]  # tables depend on r
         support = _support(residues, modulus, r)  # at each of its gamma every table has a nonzero entry
-        scales = _scales(support, r, exponent)
+        scales = _sine_powers(1.0, residues, modulus, r, exponent)
         # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
         magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
         if not magnitude < math.inf:
@@ -328,7 +323,7 @@ def z_double_simplified(symbol: SeifertSymbol, r: int) -> InvariantValue:
     weight, _, gammas, modulus = _double_setup(symbol, r)
     exponent = 2 * len(symbol.fibers) + 2 * symbol.a_eps * symbol.genus - 2
     # one term per lift gamma + p A, p < k = r / A; a sine power past the float range raises OverflowError
-    terms = _double_terms(weight, gammas, modulus, r, exponent)
+    terms = _sine_powers(weight, gammas, modulus, r, exponent)
     value = math.fsum(terms)
     warnings = () if gammas else ("empty congruence solution set; the sum vanishes identically",)
     return InvariantValue(value, r, "simplified", len(terms), abs(value), warnings)
@@ -394,7 +389,7 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
 def verlinde_dimension(genus: int, r: int) -> float:
     """dim of the level-r space on a genus-g surface: (r/2)^{g-1} sum sin^{2-2g}.
 
-    The sum is _scale_sum(r, 2g - 2), the kernel z_direct takes its magnitude sum from.
+    The sum is _scale_sum(r, 2g - 2), the fsum of _sine_powers over every gamma, as in z_direct's magnitude sum.
     """
     _require_level(r)
     if not _is_int(genus) or genus < 1:

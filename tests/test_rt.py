@@ -10,6 +10,7 @@ is then checked against z_direct on the doubled symbol.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -610,30 +612,46 @@ def test_prefactor_sign_is_exact_past_a_hundred_fibers():
 
 
 @pytest.mark.parametrize(
-    "evaluate",
+    ("evaluate", "raiser"),
     [
-        pytest.param(lambda: verlinde_dimension(400, 7), id="verlinde-product"),
-        pytest.param(lambda: z_direct(SeifertSymbol("o", 700), 7), id="z_direct-power"),
+        pytest.param(lambda: verlinde_dimension(400, 7), "verlinde_dimension", id="verlinde-product"),
+        pytest.param(lambda: z_direct(SeifertSymbol("o", 700), 7), "z_direct", id="z_direct-power"),
         # the terms reach +inf and -inf, on which fsum raises ValueError
-        pytest.param(lambda: z_direct(SeifertSymbol("n", 1331, ((5, 1), (5, -1))), 5), id="z_direct-inf-minus-inf"),
-        pytest.param(lambda: rt_closed(SeifertSymbol("o", 300), 7), id="rt_closed-product"),
-        pytest.param(lambda: tv_closed(SeifertSymbol("o", 160), 7), id="tv_closed-square"),
+        pytest.param(
+            lambda: z_direct(SeifertSymbol("n", 1331, ((5, 1), (5, -1))), 5), "z_direct", id="z_direct-inf-minus-inf"
+        ),
+        # a double at r = kA: the value is 2.95e205, and only the magnitude sum, 6^380 times the sine sum, is inf
+        pytest.param(
+            lambda: z_direct(double(SeifertSymbol("o", 1, ((3, 1),) * 190, boundary=True)), 3),
+            "z_direct",
+            id="z_direct-kA-magnitude",
+        ),
+        pytest.param(lambda: rt_closed(SeifertSymbol("o", 300), 7), "rt_closed", id="rt_closed-product"),
+        pytest.param(lambda: tv_closed(SeifertSymbol("o", 160), 7), "tv_closed", id="tv_closed-square"),
         # the range is checked by rt_closed on the double, genus 300
-        pytest.param(lambda: tv_bounded(SeifertSymbol("o", 150, boundary=True), 7), id="tv_bounded-double"),
-        pytest.param(lambda: lower_bound(SeifertSymbol("o", 700, ((3, 1),), boundary=True), 3), id="lower_bound-power"),
+        pytest.param(
+            lambda: tv_bounded(SeifertSymbol("o", 150, boundary=True), 7), "rt_closed", id="tv_bounded-double"
+        ),
+        pytest.param(
+            lambda: lower_bound(SeifertSymbol("o", 700, ((3, 1),), boundary=True), 3),
+            "lower_bound",
+            id="lower_bound-power",
+        ),
         # sin(pi gamma / r) ** exponent underflows to 0: the term is past the float range, not a division by zero
         pytest.param(
             lambda: z_double_simplified(SeifertSymbol("o", 40, ((3, 1),), boundary=True), 999),
+            "z_double_simplified",
             id="simplified-underflow",
         ),
         pytest.param(
             lambda: z_double_simplified(SeifertSymbol("o", 120, ((3, 2),), boundary=True), 99),
+            "z_double_simplified",
             id="simplified-underflow-2",
         ),
     ],
 )
-def test_value_beyond_float_range_is_a_domain_error(evaluate):
-    with pytest.raises(DomainError, match="exceeds the float range"):
+def test_value_beyond_float_range_is_a_domain_error(evaluate, raiser):
+    with pytest.raises(DomainError, match=f"^{raiser}: the value exceeds the float range$"):
         evaluate()
 
 
@@ -933,3 +951,34 @@ def test_magnitude_accounting():
     inv = z_direct(SeifertSymbol("o", 1, ((3, 1),)), 5)
     assert inv.term_magnitude_sum >= abs(inv.value)
     assert inv.term_count == 4 * 2 * 3
+
+
+# -- golden file ---------------------------------------------------------------------
+
+
+CLOSED_GOLDEN = json.loads((Path(__file__).parent / "data" / "closed_golden.json").read_text(encoding="utf-8"))
+
+
+def _outcome(call, *args) -> str:
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_closed_path_matches_the_golden_file():
+    # data/make_closed_golden.py wrote each symbol's results at its levels, or the error each call raised
+    mismatched = []
+    for case in CLOSED_GOLDEN["cases"]:
+        epsilon, genus, fibers = case["symbol"]
+        symbol, levels = SeifertSymbol(epsilon, genus, tuple(map(tuple, fibers))), case["levels"]
+        calls = (z_direct, rt_closed, tv_closed)
+        outcomes = {call.__name__: [_outcome(call, symbol, r) for r in levels] for call in calls}
+        if outcomes != case["outcomes"]:
+            mismatched.append(case["symbol"])
+    verlinde = CLOSED_GOLDEN["verlinde_dimension"]
+    for genus, expected in verlinde["outcomes"].items():
+        if [_outcome(verlinde_dimension, int(genus), r) for r in verlinde["levels"]] != expected:
+            mismatched.append(("verlinde_dimension", genus))
+    assert len(CLOSED_GOLDEN["cases"]) == 157
+    assert mismatched == []
