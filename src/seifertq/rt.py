@@ -62,9 +62,10 @@ pair with d = 1, D is 1 or 2, so both entries are nonzero on S.  Such pairs
 and the unpaired fibers share one F_j(gamma), from a table of H_j on its class
 among the t that occur, built for at most (a_j / d) min(a_j, r) terms; a pair
 multiplies each term by |F_j|^2, an unpaired fiber by F_j.
-When no table, no Euler phase and no sign (-1)^{gamma a_eps g} remain, as on
-every double at r = k lcm(a_j) (d = a_j), Z is the fsum of +-C sin^{-E}(pi
-gamma / r) over S, one sine power per gamma.  When a_j | r the
+Z is one pass over S: each gamma first takes the weighted sine power +-C
+sin^{-E}(pi gamma / r), then, where any exist, the table factors, the Euler
+phase and the sign (-1)^{gamma a_eps g}; on every double at r = k lcm(a_j)
+(d = a_j) none does, and Z is the fsum of the sine powers.  When a_j | r the
 table of an unpaired fiber is the single exact entry H_j(t) = a_j [t == 0
 mod a_j]; on a double at r = k lcm(a_j), S is the k lifts of the gamma of
 the congruence system below.
@@ -119,7 +120,7 @@ import cmath
 import functools
 import math
 from itertools import compress
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .congruence import _crt_fold, _dedekind
 from .errors import DomainError, _in_float_range, _is_int, _require_level
@@ -191,15 +192,8 @@ def _gauss_table(a: int, bstar: int, r: int) -> dict[int, complex]:
     }
 
 
-def _support(residues: tuple[int, ...], modulus: int, r: int) -> Sequence[int]:
-    """The gamma in 1..r-1 congruent to one of the residues modulo modulus, residue by residue."""
-    if modulus == 1:
-        return range(1, r)
-    return [gamma for residue in residues for gamma in range(residue or modulus, r, modulus)]  # 0 lifts from modulus
-
-
 def _sine_powers(weight: float, residues: tuple[int, ...], modulus: int, r: int, exponent: int) -> list[float]:
-    """weight * sin^{-E}(pi gamma / r) over _support(residues, modulus, r), in order: rt's one sine power."""
+    """rt's one sine power: weight * sin^{-E}(pi gamma / r) over range(t or modulus, r, modulus), residue t by t."""
     return [weight * math.sin(math.pi * g / r) ** -exponent for t in residues for g in range(t or modulus, r, modulus)]
 
 
@@ -213,12 +207,11 @@ def _scale_sum(r: int, exponent: int) -> float:
 def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """The double sum Z, its inner sum over m taken as one Gauss sum per fiber.
 
-    Per level: the Gauss tables of the fibers _fiber_class lists, and O(|S| n)
-    terms and |S| sine powers (_sine_powers) on the support S (_support).  Where
-    S is every gamma those sine powers give the magnitude sum, else _scale_sum
-    does.  A pair with gcd(r, a) > 1 costs one integer product; where nothing
-    else depends on gamma (every double at r = kA) each term is one weighted sine
-    power of _sine_powers.  The rest comes from _plan and _fiber_class.
+    Per level: one weighted sine power per gamma of the support S (_sine_powers), then, where a
+    per-gamma factor exists (a Gauss table, the Euler phase or the sign (-1)^gamma), O(n) work per
+    term, written back into the same list.  Where S is every gamma its terms give the magnitude sum,
+    else _scale_sum does.  A pair with gcd(r, a) > 1 costs one integer product of the weight, so every
+    double at r = kA is the fsum of the kernel's terms.  The rest comes from _plan and _fiber_class.
     """
     _require_symbol(symbol)
     _require_level(r)
@@ -226,29 +219,25 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
     e_num, e_den, exponent, odd_sign, per_gamma, A, pairs, unpaired = _plan(symbol)[:8]
     weight, tabled, residues, modulus = _fiber_class(pairs, unpaired, r % A)
+    terms = _sine_powers(weight, residues, modulus, r, exponent)
+    # modulus 1: S is every gamma and no pair has d > 1, so |weight| = 1; fsum rounds exactly, in any order
+    magnitude = per_gamma * (abs(math.fsum(terms)) if modulus == 1 else _scale_sum(r, exponent))
     if not (tabled or e_num or odd_sign):  # every double at r = kA: each term is weight sin^-E, of one sign
-        terms = _sine_powers(weight, residues, modulus, r, exponent)  # modulus 1: no fiber, weight 1, every scale
-        magnitude = per_gamma * (math.fsum(terms) if modulus == 1 else _scale_sum(r, exponent))
         value = complex(math.fsum(terms))  # one sign, no inf - inf: past the float range fsum gives +-inf or raises
+    elif not magnitude < math.inf:
+        value = magnitude  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
     else:
         tables = [(a, bstar, _gauss_table(a, bstar, r), paired) for a, bstar, paired in tabled]  # tables depend on r
-        support = _support(residues, modulus, r)  # at each of its gamma every table has a nonzero entry
-        scales = _sine_powers(1.0, residues, modulus, r, exponent)
-        # when the support is every gamma its scales are the level's; fsum rounds exactly, in any order
-        magnitude = per_gamma * (math.fsum(scales) if len(scales) == r - 1 else _scale_sum(r, exponent))
-        if not magnitude < math.inf:
-            value = magnitude  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
-        else:
-            terms = []
-            for gamma, scale in zip(support, scales):
-                term = -weight * scale if gamma & odd_sign else weight * scale
-                for a, bstar, table, paired in tables:
-                    phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
-                    plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
-                    factor = phase.conjugate() * plus - phase * minus
-                    term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
-                terms.append(term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term)
-            value = _fsum_complex(terms)
+        # the kernel's order; at each gamma of S every table has a nonzero entry
+        for i, gamma in enumerate(g for t in residues for g in range(t or modulus, r, modulus)):
+            term = -terms[i] if gamma & odd_sign else terms[i]
+            for a, bstar, table, paired in tables:
+                phase = _phase(gamma, a * r)  # exp(i pi gamma / (a r)); mu = +1 takes its conjugate
+                plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
+                factor = phase.conjugate() * plus - phase * minus
+                term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
+            terms[i] = term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term
+        value = _fsum_complex(terms)
     return tuple.__new__(InvariantValue, (value, r, "direct", (r - 1) * per_gamma, magnitude, ()))
 
 

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -416,6 +417,25 @@ def test_z_direct_computes_sines_only_at_its_support(monkeypatch, clear_rt_cache
         z_direct(double_45, 407)
         assert len(calls) == 406
 
+
+
+@pytest.mark.parametrize(
+    "symbol, r",
+    [
+        (SeifertSymbol("n", 1), 20_003),  # the sign (-1)^gamma and no table
+        (SeifertSymbol("o", 1, ((3, 1), (5, 2))), 5_003),  # two Gauss tables
+    ],
+)
+def test_z_direct_keeps_one_list_of_terms(symbol, r):
+    # the support is every gamma: the kernel's floats become the terms in place, with no second list beside them
+    z_direct(symbol, r)  # the plan, the fiber pass and the imports, outside the trace
+    tracemalloc.start()
+    try:
+        z_direct(symbol, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (r - 1) < 48  # one list slot and one float or complex per gamma
 
 # -- rt_closed ---------------------------------------------------------------------
 
@@ -911,7 +931,7 @@ def test_double_setup_keys_the_pass_as_the_double_s_plan_does(symbol, clear_rt_c
 def test_results_built_without_the_arity_check_have_every_field(evaluate):
     # these three build InvariantValue by tuple.__new__, which would not reject a missing field
     symbol = ANCHOR_SYMBOL if evaluate is tv_bounded else double(ANCHOR_SYMBOL)
-    for r in (15, 17):  # the double's r = kA branch, then the general one
+    for r in (15, 17):  # no per-gamma factor, then the factor loop
         result = evaluate(symbol, r)
         assert len(result) == len(InvariantValue._fields) and result == InvariantValue(*result)
 
