@@ -45,14 +45,20 @@ s(b mod a, a), and for coprime 0 < b < a
 
     s(b, a) = -1/4 + (a^2 + b^2 + 1) / (12 a b) - s(a mod b, b),
 
-so O(log a) integer steps and one Fraction reach s(0, 1) = 0.  Every value is
-checked exactly against the sawtooth form, in integers:
+so O(log a) integer steps reach s(0, 1) = 0.  Every value is checked exactly
+against the sawtooth form, in integers:
 
     4 a^2 s(b, a) = sum_{l=1}^{a-1} (2l - a) * (2 (l*b mod a) - a).
 
 Since gcd(a, b) = 1 the terms at l and a - l are equal and the term at
-l = a/2 is 0, so the check sums l < a/2 and doubles; it costs O(a) integer
-steps and O(1) memory, about 0.1 s at a = 10^6.
+l = a/2 is 0, so the check sums l < a/2 and doubles.  With m = 2l the
+residue 2 (l*b mod a) = m*b mod 2a moves by 2b mod 2a from one term to the
+next, less 2a where it passes 2a: a term costs one addition and one compare
+for its residue, with no multiply or modulo, and one product.  The check
+costs O(a) integer steps and O(1) memory, about 0.07 s at a = 10^6.
+Once the recursion's num/den equals the sawtooth sum S over 4 a^2, the value
+is read as the one Fraction S / (4 a^2), whose gcd is taken on integers far
+smaller than the recursion's products.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ def _fiber(a: int, b: int) -> None:
 def _fibers(fibers: Iterable[Fiber]) -> tuple[Fiber, ...]:
     """The (a, b) pairs of fibers as a tuple, each checked by _fiber; DomainError otherwise."""
     try:
-        pairs = tuple((a, b) for a, b in fibers)
+        pairs = tuple([(a, b) for a, b in fibers])
     except (TypeError, ValueError):
         raise DomainError(f"fibers must be (a, b) pairs, got {fibers!r}") from None
     for a, b in pairs:
@@ -96,9 +102,16 @@ def _fibers(fibers: Iterable[Fiber]) -> tuple[Fiber, ...]:
 
 def _sawtooth_sum(b: int, a: int) -> int:
     """4 a^2 s(b, a) = sum_{l=1}^{a-1} (2l - a)(2 (lb mod a) - a), summed over l < a/2 and doubled."""
-    # with m = 2l, 2 (lb mod a) = mb mod 2a; gcd(a, b) = 1 keeps lb off the multiples of a
+    # with m = 2l, 2 (lb mod a) = mb mod 2a, which each step raises by 2b mod 2a; residue holds mb mod 2a - a,
+    # in [-a, a), and gcd(a, b) = 1 keeps lb off the multiples of a
     twice_a = 2 * a
-    return 2 * sum((m - a) * (m * b % twice_a - a) for m in range(2, a, 2))
+    step, residue, total = 2 * b % twice_a, -a, 0
+    for offset in range(2 - a, 0, 2):  # offset = m - a
+        residue += step
+        if residue >= a:
+            residue -= twice_a
+        total += offset * residue
+    return 2 * total
 
 
 def dedekind_sum(b: int, a: int) -> Fraction:
@@ -110,9 +123,11 @@ def dedekind_sum(b: int, a: int) -> Fraction:
 
         s(b, a) + s(a, b) = -1/4 + (a/b + b/a + 1/(ab)) / 12.
 
-    Exact in O(log a) integer steps and one Fraction; the exact check against
-    the sawtooth sum takes l < a/2 by the l <-> a - l symmetry, in O(a)
-    integer steps and O(1) memory (about 0.1 s at a = 10^6).
+    The Euclid recursion runs in O(log a) integer steps; the exact check
+    against the sawtooth sum takes l < a/2 by the l <-> a - l symmetry and
+    steps the residue l*b mod a by one addition per term, in O(a) integer
+    steps and O(1) memory (about 0.07 s at a = 10^6).  The value returned is
+    the checked sawtooth integer over 4 a^2.
     """
     _fiber(a, b)
     return _dedekind(b, a)
@@ -120,19 +135,20 @@ def dedekind_sum(b: int, a: int) -> Fraction:
 
 def _dedekind(b: int, a: int) -> Fraction:
     """dedekind_sum(b, a) for a fiber (a, b) that _fiber has already checked."""
-    # the sum so far is num / den, den = 12 * prefix * p; a step adds sign (p^2+q^2+1-3pq) / (12pq)
-    num, den, prefix, sign = 0, 12 * a, 1, 1
+    # the sum so far is num / den, den = 12 * |prefix| * p; a step adds (p^2+q^2+1-3pq) / (12pq) with the sign of
+    # prefix, which alternates
+    num, den, prefix = 0, 12 * a, 1
     p, q = a, b % a
     while q:
-        num = num * q + sign * (p * p + q * q + 1 - 3 * p * q) * prefix
-        p, q, sign, den, prefix = q, p % q, -sign, den * q, prefix * p
+        num = num * q + ((p - q) * (p - q) - p * q + 1) * prefix
+        den *= q
+        prefix *= -p
+        p, q = q, p % q
     # num / den against the sawtooth sum S = 4 a^2 s(b, a), exactly and before any Fraction
-    sawtooth = _sawtooth_sum(b, a)
-    if num * 4 * a * a != sawtooth * den:
-        raise NumericInconsistencyError(
-            f"dedekind_sum({b}, {a}): recursion {num}/{den} vs sawtooth {sawtooth}/{4 * a * a}"
-        )
-    return Fraction(num, den)
+    sawtooth, scale = _sawtooth_sum(b, a), 4 * a * a
+    if num * scale != sawtooth * den:
+        raise NumericInconsistencyError(f"dedekind_sum({b}, {a}): recursion {num}/{den} vs sawtooth {sawtooth}/{scale}")
+    return Fraction(sawtooth, scale)
 
 
 def system_modulus(fibers: Iterable[Fiber]) -> int:
@@ -212,18 +228,19 @@ def enumerate_solutions(fibers: Iterable[Fiber]) -> Optional[CongruenceCertifica
 def _certificate(pairs: Sequence[Fiber]) -> Optional[CongruenceCertificate]:
     """enumerate_solutions of fibers that _fiber has already checked."""
     n = len(pairs)
-    if all(a == 1 for a, _ in pairs):
+    if max(pairs, default=(1, 0))[0] == 1:  # the largest pair has the largest a, and every a is >= 1
         return CongruenceCertificate(0, (1,) * n, 1, (), True)
     half, modulus = _crt_fold([(a, pow(b, -1, a)) for a, b in pairs])
     if not half:
         return None
-    # gamma = 0 would need b_j* == 0 (mod a_j), that is a_j = 1, for every j, so A - gamma is in 1..A-1
-    full, solutions = (1 << n) - 1, []
-    for gamma, mask in half:
-        solutions += ((gamma, _mu(mask, n)), (modulus - gamma, _mu(mask ^ full, n)))
-    solutions.sort()
+    # gamma = 0 would need b_j* == 0 (mod a_j), that is a_j = 1, for every j, so A - gamma is in 1..A-1.  A mask
+    # orders as its sign vector does: the first fiber takes the highest bit and mu_j = +1 > -1 sets it, so sorting
+    # the integer (gamma, mask) pairs sorts the solutions, and each mu is built after the sort
+    full = (1 << n) - 1
+    found = sorted(half + [(modulus - gamma, mask ^ full) for gamma, mask in half])
+    solutions = tuple([(gamma, _mu(mask, n)) for gamma, mask in found])
     gamma, mu = solutions[0]
-    return CongruenceCertificate(gamma, mu, modulus, tuple(solutions))
+    return CongruenceCertificate(gamma, mu, modulus, solutions)
 
 
 class SystemClassification(NamedTuple):

@@ -123,8 +123,8 @@ def _derived(epsilon: str, genus: int, fibers: tuple[tuple[int, int], ...], boun
 def euler_number(symbol: SeifertSymbol) -> Fraction:
     """Rational Euler number e(M) = -sum(b_j / a_j), exact, as one fraction over lcm(a_j)."""
     _require_symbol(symbol)
-    common = math.lcm(*(a for a, _ in symbol.fibers))
-    return Fraction(-sum(b * (common // a) for a, b in symbol.fibers), common)
+    common = math.lcm(*[a for a, _ in symbol.fibers])
+    return Fraction(-sum([b * (common // a) for a, b in symbol.fibers]), common)
 
 
 def orbifold_euler_characteristic(symbol: SeifertSymbol) -> Fraction:
@@ -170,14 +170,13 @@ def normalize(symbol: SeifertSymbol) -> SeifertSymbol:
     """
     _require_symbol(symbol)
     fibers = symbol.fibers
-    if symbol.boundary:
-        carrier, shift = None, 0
-    else:
-        carrier = max((j for j, (a, _) in enumerate(fibers) if a >= 2), default=0)
-        # the carrier takes the sum of the other shifts, so the shifts sum to zero
-        shift = sum(b // a for j, (a, b) in enumerate(fibers) if j != carrier)
+    if symbol.boundary:  # the shifts are free: each b_j reduces on its own, and only unit fibers reduce to (1, 0)
+        return _derived(symbol.epsilon, symbol.genus, tuple([(a, b % a) for a, b in fibers if a != 1]), True)
+    carrier = max((j for j, (a, _) in enumerate(fibers) if a >= 2), default=0)
+    # the carrier takes the sum of the other shifts, so the shifts sum to zero
+    shift = sum(b // a for j, (a, b) in enumerate(fibers) if j != carrier)
     reduced = [(a, b + shift * a if j == carrier else b % a) for j, (a, b) in enumerate(fibers)]
-    return _derived(symbol.epsilon, symbol.genus, tuple([f for f in reduced if f != (1, 0)]), symbol.boundary)
+    return _derived(symbol.epsilon, symbol.genus, tuple([f for f in reduced if f != (1, 0)]), False)
 
 
 # -- serialization ------------------------------------------------------------
@@ -192,14 +191,16 @@ def symbol_to_dict(symbol: SeifertSymbol) -> dict[str, Any]:
     }
 
 
+_FIELDS = frozenset(_SymbolFields._fields)
+
+
 def symbol_from_dict(data: Any) -> SeifertSymbol:
     if not isinstance(data, dict):
         raise MalformedInputError(f"symbol must be an object, got {type(data).__name__}")
-    missing = {"epsilon", "genus", "fibers", "boundary"} - set(data)
-    if missing:
-        raise MalformedInputError(f"symbol is missing fields: {sorted(missing)}")
+    if not _FIELDS.issubset(data):
+        raise MalformedInputError(f"symbol is missing fields: {sorted(_FIELDS.difference(data))}")
     fibers = data["fibers"]
-    if not isinstance(fibers, Iterable) or isinstance(fibers, (str, bytes)):
+    if type(fibers) is not list and (not isinstance(fibers, Iterable) or isinstance(fibers, (str, bytes))):
         raise MalformedInputError("fibers must be a list of [a, b] pairs")
     pairs = []
     for entry in fibers:
@@ -228,6 +229,6 @@ def symbol_to_json(symbol: SeifertSymbol) -> str:
 def symbol_from_json(text: str) -> SeifertSymbol:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal longer than int() converts (4300 digits)
         raise MalformedInputError(f"invalid JSON for symbol: {exc}") from exc
     return symbol_from_dict(data)

@@ -57,6 +57,14 @@ def _is_index(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _index(text: str, lineno: int) -> int:
+    """The value of an index that _is_index has accepted; TriangulationError past int()'s digit limit (4300)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise TriangulationError(f"line {lineno}: an index of {len(text)} digits is too long") from None
+
+
 class _UnionFind:
     def __init__(self) -> None:
         self._parent: dict = {}
@@ -175,7 +183,7 @@ def parse_triangulation(text: str) -> Triangulation:
         parts = head.split()
         if len(parts) != 2 or parts[0] != "tet" or not _is_index(parts[1]) or not _:
             raise TriangulationError(f"line {lineno}: expected 'tet <id>: <g> <g> <g> <g>'")
-        t = int(parts[1])
+        t = _index(parts[1], lineno)
         entries = rest.split()
         if len(entries) != 4:
             raise TriangulationError(f"line {lineno}: expected 4 face gluings, got {len(entries)}")
@@ -193,7 +201,7 @@ def parse_triangulation(text: str) -> Triangulation:
                 raise TriangulationError(f"line {lineno}: malformed gluing {entry!r}")
             if len(perm_s) != 4 or any(c not in "0123" for c in perm_s):
                 raise TriangulationError(f"line {lineno}: malformed permutation {perm_s!r}")
-            gluings[(t, f)] = (int(tet_s), int(face_s), tuple(int(c) for c in perm_s))
+            gluings[(t, f)] = (_index(tet_s, lineno), _index(face_s, lineno), tuple(int(c) for c in perm_s))
     if not gluings:
         raise TriangulationError("no tetrahedra found")
     return Triangulation(gluings)

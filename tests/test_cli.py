@@ -392,6 +392,39 @@ def test_non_ascii_digit_in_triangulation_exits_3(capsys, tmp_path, text, messag
     assert message in err
 
 
+LONG_INTEGER = "1" * 5001  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "command, symbol",
+    [
+        pytest.param("normalize", f'{{"epsilon":"o","genus":{LONG_INTEGER},"fibers":[],"boundary":false}}', id="genus"),
+        pytest.param("certify", f'{{"epsilon":"o","genus":1,"fibers":[[3,{LONG_INTEGER}]],"boundary":true}}',
+                     id="fiber"),
+    ],
+)
+def test_symbol_integer_past_the_digit_limit_exits_3(capsys, command, symbol):
+    # this printed a ValueError traceback and exited 1
+    code, out, err = run(capsys, command, "--symbol", symbol)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invalid JSON for symbol: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(f"tet {LONG_INTEGER}: - - - -\n", id="tet-id"),
+        pytest.param(f"tet 0: {LONG_INTEGER}:0:0123 - - -\n", id="gluing"),
+    ],
+)
+def test_triangulation_index_past_the_digit_limit_exits_3(capsys, tmp_path, text):
+    path = tmp_path / "long.tri"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "tv", "--tri", str(path), "--r", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: line 1: an index of 5001 digits is too long\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["rt", "--symbol", TORUS])  # missing required --r

@@ -6,16 +6,19 @@ residue class modulo lcm(a_j) directly.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import seifertq
 from seifertq import (
     CongruenceCertificate,
     DomainError,
@@ -405,3 +408,39 @@ def test_certificate_serialization():
     assert data["cardinality"] == 4
     assert data["set_B"][0] == [1, [-1, -1]]
     assert data["degenerate"] is False
+
+
+# -- golden file ---------------------------------------------------------------------
+
+
+EXACT_GOLDEN = json.loads((Path(__file__).parent / "data" / "exact_golden.json").read_text(encoding="utf-8"))
+SYMBOL_CALLS = ("normalize", "double", "euler_number", "orbifold_euler_characteristic")
+SYSTEM_CALLS = ("classify_system", "enumerate_solutions", "system_modulus")
+
+
+def _outcome(call, *args) -> str:
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_exact_path_matches_the_golden_file():
+    # data/make_exact_golden.py wrote each text's parse and the results on its symbol and fibers, or the errors raised
+    mismatched = []
+    for case in EXACT_GOLDEN["cases"]:
+        outcomes = {"text": case["text"], "symbol_from_json": _outcome(seifertq.symbol_from_json, case["text"])}
+        if outcomes["symbol_from_json"].startswith("SeifertSymbol("):
+            symbol = seifertq.symbol_from_json(case["text"])
+            outcomes.update((name, _outcome(getattr(seifertq, name), symbol)) for name in SYMBOL_CALLS)
+        if "fibers" in case:
+            outcomes["fibers"] = fibers = case["fibers"]
+            outcomes.update((name, _outcome(getattr(seifertq, name), fibers)) for name in SYSTEM_CALLS)
+        if outcomes != case:
+            mismatched.append(case["text"])
+    for b, a, expected in EXACT_GOLDEN["dedekind_sum"]:
+        if _outcome(dedekind_sum, b, a) != expected:
+            mismatched.append(("dedekind_sum", b, a))
+    assert len(EXACT_GOLDEN["cases"]) == 329
+    assert len(EXACT_GOLDEN["dedekind_sum"]) == 4415
+    assert mismatched == []

@@ -250,33 +250,35 @@ def test_z_direct_equals_full_loop(case, clear_rt_caches):
         assert _fields(cold) == _fields(want)
 
 
-def _record_support_and_phases(monkeypatch, r):
-    """Record the gamma of each sine sin(pi gamma / r) z_direct takes at level r, and the calls to _phase by (num, den).
+def _record_support_and_phases(monkeypatch):
+    """Record the gamma of each sine power rt._sine_powers is asked for, and the calls to _phase by (num, den).
 
-    z_direct takes one sine per gamma it sums; the first _scale_sum(r, E) of a process takes the level's r - 1
-    sines as well, so callers whose support is not every gamma evaluate once before they record.
+    The gamma are the lifts range(t or modulus, r, modulus) of the residues t it is handed, in its order, so
+    they do not depend on how the kernel takes its sine.  z_direct asks for one sine power per gamma it sums;
+    the first _scale_sum(r, E) of a process asks for the level's r - 1 as well, so callers whose support is not
+    every gamma evaluate once before they record.
     """
     gammas, phases = [], Counter()
-    sin, phase = math.sin, seifertq.rt._phase
+    sine_powers, phase = seifertq.rt._sine_powers, seifertq.rt._phase
 
-    def recording_sin(x):
-        gammas.append(round(x * r / math.pi))
-        return sin(x)
+    def recording_sine_powers(weight, residues, modulus, r, exponent):
+        gammas.extend(g for t in residues for g in range(t or modulus, r, modulus))
+        return sine_powers(weight, residues, modulus, r, exponent)
 
     def counting_phase(num, den):
         phases[num, den] += 1
         return phase(num, den)
 
-    monkeypatch.setattr(math, "sin", recording_sin)
+    monkeypatch.setattr(seifertq.rt, "_sine_powers", recording_sine_powers)
     monkeypatch.setattr(seifertq.rt, "_phase", counting_phase)
     return gammas, phases
 
 
 def _support_of(symbol, r):
-    """The support z_direct sums over for a closed symbol at level r: the gamma of the sines it takes once warm."""
+    """The support z_direct sums over for a closed symbol at level r: the gamma of its sine powers once warm."""
     z_direct(symbol, r)  # caches the level sum of sines, which a first call takes besides the support's
     with pytest.MonkeyPatch.context() as patch:
-        gammas, _ = _record_support_and_phases(patch, r)
+        gammas, _ = _record_support_and_phases(patch)
         z_direct(symbol, r)
     return gammas
 
@@ -285,7 +287,7 @@ def test_z_direct_sums_only_the_surviving_gamma(monkeypatch):
     r = 9 * 45
     doubled = double(SeifertSymbol("o", 1, ((45, 1),), boundary=True))
     z_direct(doubled, r)  # caches the level sum of sines
-    gammas, phases = _record_support_and_phases(monkeypatch, r)
+    gammas, phases = _record_support_and_phases(monkeypatch)
     z_direct(doubled, r)
     # gamma == -+1 (mod 45), lifted by 45 nine times
     surviving = sorted(p * 45 + t for p in range(9) for t in (1, 44))
@@ -298,7 +300,7 @@ def test_z_direct_sums_only_the_surviving_gamma(monkeypatch):
 
 def test_z_direct_visits_each_gamma_once_at_a_coprime_level(monkeypatch):
     r = 27
-    gammas, phases = _record_support_and_phases(monkeypatch, r)
+    gammas, phases = _record_support_and_phases(monkeypatch)
     # the support is every gamma, so its sines give the level sum: no other sine is taken, cold or warm
     z_direct(SeifertSymbol("n", 2, ((7, 2), (11, 3), (7, -2), (1, 1))), r)
     assert sorted(gammas) == list(range(1, r))
@@ -364,7 +366,7 @@ def test_mirrored_pair_sharing_a_factor_with_r_has_modulus_a_d_on_its_support():
 def test_z_direct_sums_nothing_where_every_gamma_meets_a_vanishing_gauss_sum(monkeypatch):
     symbol = SeifertSymbol("o", 1, ((2, 1), (4, 1)))
     z_direct(symbol, 101)  # caches the level sum of sines
-    gammas, _ = _record_support_and_phases(monkeypatch, 101)
+    gammas, _ = _record_support_and_phases(monkeypatch)
     # (2, 1) is nonzero at even gamma only and (4, 1) at odd gamma only, so the support is empty
     z = z_direct(symbol, 101)
     assert gammas == []

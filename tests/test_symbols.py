@@ -278,6 +278,22 @@ def test_malformed_symbol_json_rejected(data):
         symbol_from_json(data)
 
 
+LONG_INTEGER = "1" * 5001  # past int()'s default limit of 4300 digits, which json.loads meets as a bare ValueError
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(f'{{"epsilon": "o", "genus": {LONG_INTEGER}, "fibers": [], "boundary": false}}', id="genus"),
+        pytest.param(f'{{"epsilon": "o", "genus": 1, "fibers": [[3, {LONG_INTEGER}]], "boundary": true}}', id="b"),
+        pytest.param(f'{{"epsilon": "o", "genus": 1, "fibers": [[-{LONG_INTEGER}, 1]], "boundary": true}}', id="a"),
+    ],
+)
+def test_integer_literal_past_the_digit_limit_is_malformed(data):
+    with pytest.raises(MalformedInputError, match="^invalid JSON for symbol: .*4300"):
+        symbol_from_json(data)
+
+
 def test_semantically_bad_symbol_is_domain_error():
     with pytest.raises(DomainError):
         symbol_from_json('{"epsilon": "q", "genus": 1, "fibers": [], "boundary": false}')

@@ -78,6 +78,20 @@ def test_malformed_text_rejected(text):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("tet " + "0" * 5001 + ": - - - -\n", id="tet-id"),
+        pytest.param("tet 0: " + "1" * 5001 + ":0:0123 - - -\n", id="partner-tet"),
+        pytest.param("tet 0: 1:" + "0" * 5001 + ":0123 - - -\n", id="partner-face"),
+    ],
+)
+def test_index_past_the_digit_limit_is_rejected(text):
+    # int() refuses more than 4300 digits with a bare ValueError
+    with pytest.raises(TriangulationError, match="^line 1: an index of 5001 digits is too long$"):
+        parse_triangulation(text)
+
+
+@pytest.mark.parametrize(
     "name, content",
     [
         ("missing.tri", None),
