@@ -92,10 +92,9 @@ class LtvSample(NamedTuple):
 def ltv_scan(symbol: SeifertSymbol, levels: Iterable[int]) -> tuple[tuple[LtvSample, ...], float | None]:
     """Sample LTV(r) = (2 pi / r) log |TV_r| at the given levels.
 
-    TV_r is tv_closed of a closed symbol and tv_bounded of a bounded one.
-    D(M) and the RT data of all levels are built once (rt._bounded_plan, _plan),
-    the pass over the fibers once per class mod A (rt._fiber_class): at r = kA a
-    level costs one sine power per gamma of the double's support.
+    TV_r is tv_closed of a closed symbol and tv_bounded of a bounded one, both
+    from the symbol's one plan (rt._plan): D(M) and the RT data are built once,
+    and at r = kA a level costs one sine power per gamma of the double's support.
 
     Returns the samples and, when at least two distinct levels are given,
     the least-squares slope of log |TV_r| against log r (None otherwise).

@@ -76,23 +76,23 @@ exactly-rounded summation.
 
 The prefactors are computed from integers too.  Since s(-b, a) = -s(b, a)
 and s depends on b modulo a only, a fiber (a, b) cancels against a mirrored
-fiber (a, -b mod a) in P1, and only the fibers left unpaired need their
-Dedekind sums.  On an orientation double e = 0, so P3 = 1, and every fiber
-has its mirror, so P1 = 1 with no Dedekind sum computed.  With the rational
+fiber (a, -b mod a) in P1, and only the unpaired fibers need their Dedekind
+sums, taken as s(b^*, a) = s(b, a).  With every fiber paired e and x below are
+integers, a pair's b / a + b' / a being one; on a double e = x = 0.  With the rational
 x = 3 (a_eps - 1) sign(e) - e - 12 sum_j s(b_j, a_j), P1 is
-exp(i pi num / den) with num / den = x / 2r, x one exact Fraction.  P3 is
+exp(i pi num / den) with num / den = x / 2r, x exact.  P3 is
 exp(i pi 3 (1 - a_eps) sign(e) / 4), and the powers in P2 have the
 half-integer exponents (a_eps g - 2) / 2 and (2n + a_eps g - 2) / 2.
 When P2's denominator leaves the float range, RT is nan and rt_closed
 raises DomainError rather than return the 0 of a division by inf.
 
 Only the tables, the lifts of S, the sines, P1's phase and P2's power of r
-depend on the level itself.  The pass over the fibers (C, which fibers take
-tables, S's residues modulo lcm(D_j)) depends on r only through gcd(r, a_j),
-so on r mod A = lcm(a_j), and on the symbol only through the (a_j, b_j^*) of
-its pairs and unpaired fibers; everything else depends on the symbol alone.
-At r = kA a double's level work is one sine power and one product per gamma
-of S, read straight from S's residues, and the sine level sum per (r, E).
+depend on the level itself.  The rest is one plan per symbol (_plan, one
+cache): the (a_j, b_j^*) of its pairs and unpaired fibers and z_direct's
+fields, the level-free prefactor from the first rt_closed on, and the pass
+over the fibers (C, which fibers take tables, S's residues modulo lcm(D_j)).
+The pass depends on r only through gcd(r, a_j) = gcd(gcd(r, A), a_j), so the
+plan keeps one per gcd(r, A), at most one per divisor of A = lcm(a_j).
 
 For the orientation double D(M) of a bounded symbol whose multiplicities all
 satisfy a_j >= 2, evaluated at a level r = k * lcm(a_j), the inner sums
@@ -110,7 +110,7 @@ r = kA, where each pair's |F|^2 is a_j D = a_j^2 on the support.  As r is
 odd, every a_j is odd and >= 3, so each gamma has one mu: the gamma of B are
 the support at level A.  D(M), A and z_direct's pass over D(M)'s pairs at
 r == 0 (mod A) (the weight (-1)^n (prod_j a_j)^2, the gamma of B) depend on
-M alone: _bounded_plan builds them once per symbol.  z_double_simplified lifts
+M alone: they are in M's plan, which is D(M)'s.  z_double_simplified lifts
 that support k times by z_direct's kernel _sine_powers: the sums are equal.
 """
 
@@ -119,6 +119,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
 
@@ -211,18 +212,19 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
     per-gamma factor exists (a Gauss table, the Euler phase or the sign (-1)^gamma), O(n) work per
     term, written back into the same list.  Where S is every gamma its terms give the magnitude sum,
     else _scale_sum does.  A pair with gcd(r, a) > 1 costs one integer product of the weight, so every
-    double at r = kA is the fsum of the kernel's terms.  The rest comes from _plan and _fiber_class.
+    double at r = kA is the fsum of the kernel's terms.  The rest comes from the symbol's plan.
     """
     _require_symbol(symbol)
     _require_level(r)
     if symbol.boundary:
         raise DomainError("invariant is defined for closed symbols; double the symbol first")
-    e_num, e_den, exponent, odd_sign, per_gamma, A, pairs, unpaired = _plan(symbol)[:8]
-    weight, tabled, residues, modulus = _fiber_class(pairs, unpaired, r % A)
+    plan = _plan(symbol)
+    weight, tabled, residues, modulus = plan.fiber_pass(r)
+    e, exponent, odd_sign, per_gamma = plan.direct
     terms = _sine_powers(weight, residues, modulus, r, exponent)
     # modulus 1: S is every gamma and no pair has d > 1, so |weight| = 1; fsum rounds exactly, in any order
     magnitude = per_gamma * (abs(math.fsum(terms)) if modulus == 1 else _scale_sum(r, exponent))
-    if not (tabled or e_num or odd_sign):  # every double at r = kA: each term is weight sin^-E, of one sign
+    if not (tabled or e or odd_sign):  # every double at r = kA: each term is weight sin^-E, of one sign
         value = complex(math.fsum(terms))  # one sign, no inf - inf: past the float range fsum gives +-inf or raises
     elif not magnitude < math.inf:
         value = magnitude  # magnitude bounds every |term|; past the float range fsum could meet inf - inf
@@ -236,70 +238,29 @@ def z_direct(symbol: SeifertSymbol, r: int) -> InvariantValue:
                 plus, minus = table.get((gamma + bstar) % a, 0), table.get((gamma - bstar) % a, 0)
                 factor = phase.conjugate() * plus - phase * minus
                 term *= factor.real * factor.real + factor.imag * factor.imag if paired else factor
-            terms[i] = term * _phase(e_num * gamma * gamma, 2 * r * e_den) if e_num else term
+            terms[i] = term * _phase(e.numerator * gamma * gamma, 2 * r * e.denominator) if e else term
         value = _fsum_complex(terms)
     return tuple.__new__(InvariantValue, (value, r, "direct", (r - 1) * per_gamma, magnitude, ()))
-
-
-@functools.lru_cache(maxsize=256)
-def _fiber_class(pairs: tuple, unpaired: tuple, residue: int) -> tuple[float, tuple, tuple[int, ...], int]:
-    """The pass over the fibers at every level r == residue (mod A): (weight, tabled, residues, modulus).
-
-    pairs and unpaired are _plan's (a, b^*) and A = lcm(a_j), so the pass depends on r only through
-    d = gcd(r, a_j) = gcd(residue, a_j).  weight is -+C, each pair contributing -|F|^2, with C the integer
-    product of a D over the pairs with d > 1; tabled holds the (a, b^*, paired) that take a Gauss table,
-    pairs first, so products round in one order; S is the gamma == a residue (mod modulus = lcm(D)).
-    One _crt_fold per fiber list and class per process, whatever the base, the genus or the level.
-    """
-    constant, tabled, constraints = 1, [], set()
-    for paired, part in ((True, pairs), (False, unpaired)):
-        for a, bstar in part:
-            d, D, t0 = _nonzero(a, residue)
-            if paired and d > 1:  # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: no table
-                constant *= a * D
-            else:  # a pair multiplies |F|^2 and an unpaired fiber F
-                tabled.append((a, bstar, paired))
-            if D > 1:  # H((gamma -+ b^*) mod a) != 0 at gamma == +-(b^* - t0) (mod D), as 2 t0 == 0 (mod D)
-                constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
-    half, modulus = _crt_fold(list(constraints))
-    residues = {t for t, _ in half}  # a set: each gamma comes once, however many sign vectors reach it
-    residues.update([-t % modulus for t in residues])  # the fold holds the first sign at +1; the mirrors bring -1
-    return float(-constant if len(pairs) % 2 else constant), tuple(tabled), tuple(sorted(residues)), modulus
-
-
-@functools.lru_cache(maxsize=256)
-def _bounded_plan(symbol: SeifertSymbol) -> tuple[SeifertSymbol, int | None, tuple | None]:
-    """(D(M), A = lcm(a_j), D(M)'s pass at r == 0 (mod A)) of a checked bounded M, once per symbol per process.
-
-    A and the pass are None unless M has fibers, all a_j >= 2; the pass is the _fiber_class entry under _plan(D(M))'s
-    key, built without that plan.  Callers check the type first, as an equal plain tuple would hit the cache.
-    """
-    closed, fibers = double(symbol), symbol.fibers
-    if not fibers or min(fibers)[0] < 2:
-        return closed, None, None
-    pairs = _pair_off(closed.fibers)[0]
-    return closed, math.lcm(*dict(fibers)), _fiber_class(tuple([(a, pow(b, -1, a)) for a, b in pairs]), (), 0)
 
 
 def _double_setup(symbol: SeifertSymbol, r: int) -> tuple[float, tuple, tuple[int, ...], int]:
     """Check the preconditions the simplified form and the growth bound share; return D(M)'s pass at r == 0 (mod A).
 
-    The pass is z_direct's entry for the double at every level r = kA, (weight, (), the gamma of B, modulus),
-    with modulus A when B is nonempty.  A and the entry come from _bounded_plan; the checks run on every call.
+    That is the pass of M's plan, z_direct's for D(M) at every r = kA: (weight, (), the gamma of B, A if B is nonempty).
     """
     _require_symbol(symbol)
     _require_level(r)
     if not symbol.boundary:
         raise DomainError("the simplified form and the lower bound apply to symbols with boundary")
-    _, A, entry = _bounded_plan(symbol)
-    if A is None:
+    if not symbol.fibers or min(symbol.fibers)[0] < 2:
         raise DomainError(
             "the simplified form and the lower bound need at least one fiber and "
             "every multiplicity >= 2; normalize the symbol to absorb unit fibers"
         )
-    if r % A:
-        raise DomainError(f"level {r} is not a multiple of the system modulus {A}")
-    return entry  # each a_j | r is odd and >= 3: a gamma of B has one mu, and at A a residue is its one lift
+    plan = _plan(symbol)
+    if r % plan.A:
+        raise DomainError(f"level {r} is not a multiple of the system modulus {plan.A}")
+    return plan.fiber_pass(r)  # each a_j | r is odd and >= 3: a gamma of B has one mu, at A one lift
 
 
 @_in_float_range
@@ -331,31 +292,70 @@ def _pair_off(fibers: tuple[tuple[int, int], ...]) -> tuple[list[tuple[int, int]
     return pairs, list(compress(fibers, left))
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(symbol: SeifertSymbol) -> tuple:
-    """What z_direct and rt_closed need of a closed symbol at every level, as one tuple, once per symbol per process.
+class _Plan:
+    """One closed symbol's data for every level: z_direct's fields, the prefactor and each pass built on first use."""
 
-    P1 = _phase(num, 2 r den) and P2 = sign * r**power / den at level r; A = lcm(a_j) keys _fiber_class.
-    """
-    fibers = symbol.fibers  # SeifertSymbol has checked every fiber, so pow and _dedekind check none
-    n, a_eps, g = len(fibers), symbol.a_eps, symbol.genus
-    euler = euler_number(symbol)
-    sign_e = (euler.numerator > 0) - (euler.numerator < 0)
-    pairs, unpaired = _pair_off(fibers)  # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum
-    x = 3 * (a_eps - 1) * sign_e - euler - 12 * sum(_dedekind(b, a) for a, b in unpaired)  # a Fraction, as e is
-    prod_a = math.prod(a for a, _ in fibers)
-    try:
-        p2_den = 2.0 ** ((2 * n + a_eps * g - 2) / 2) * math.sqrt(prod_a)
-    except OverflowError:
-        p2_den = math.inf
-    # past the float range RT is then nan, which rt_closed's range check rejects; 1 / inf would be a silent 0
-    p2_den = p2_den if p2_den < math.inf else math.nan
-    pairs, unpaired = (tuple((a, pow(b, -1, a)) for a, b in part) for part in (pairs, unpaired))
-    # i^n from the table: past n = 100 the power 1j**n is taken through exp and log, and rounds
-    p2_sign, p3 = (-1.0) ** (a_eps * g) * _QUARTER_PHASES[n % 4], _phase(3 * (1 - a_eps) * sign_e, 4)
-    return (euler.numerator, euler.denominator, n + a_eps * g - 2, a_eps * g % 2, 2**n * prod_a,
-            math.lcm(*(a for a, _ in fibers)), pairs, unpaired,
-            x.numerator, x.denominator, p2_sign, (a_eps * g - 2) / 2, p2_den, p3)
+    def __init__(self, symbol: SeifertSymbol) -> None:
+        fibers = symbol.fibers  # SeifertSymbol has checked every fiber, so pow checks none
+        self.symbol, self.A, self.passes = symbol, math.lcm(*[a for a, _ in fibers]), {}
+        self.pairs, self.unpaired = (tuple([(a, pow(b, -1, a)) for a, b in part]) for part in _pair_off(fibers))
+
+    @functools.cached_property
+    def direct(self) -> tuple[Fraction | int, int, int, int]:
+        """z_direct's (e, E, a_eps g mod 2, 2^n prod_j a_j), built on its first call: the bound needs none of them."""
+        fibers, A, a_eps_g = self.symbol.fibers, self.A, self.symbol.a_eps * self.symbol.genus
+        # with every fiber paired e is an integer, a pair's b / a + b' / a being one: no Fraction
+        euler = euler_number(self.symbol) if self.unpaired else -sum([b * (A // a) for a, b in fibers]) // A
+        return euler, len(fibers) + a_eps_g - 2, a_eps_g % 2, 2 ** len(fibers) * math.prod([a for a, _ in fibers])
+
+    def fiber_pass(self, r: int) -> tuple[float, tuple, tuple[int, ...], int]:
+        """(weight, tabled, residues, modulus) at level r, built once per gcd(r, A), as d = gcd(gcd(r, A), a_j).
+
+        weight is -+C, C the product of a D over the pairs with d > 1; tabled holds the (a, b^*, paired) that take a
+        Gauss table, pairs first, so products round in one order; S is the gamma == a residue (mod modulus).
+        """
+        key = math.gcd(r, self.A)
+        if key in self.passes:
+            return self.passes[key]
+        constant, tabled, constraints = 1, [], set()
+        for paired, part in ((True, self.pairs), (False, self.unpaired)):
+            for a, bstar in part:
+                d, D, t0 = _nonzero(a, key)
+                if paired and d > 1:  # a pair with gcd(r, a) > 1 has |F|^2 = a D on the support: no table
+                    constant *= a * D
+                else:  # a pair multiplies |F|^2 and an unpaired fiber F
+                    tabled.append((a, bstar, paired))
+                if D > 1:  # H((gamma -+ b^*) mod a) != 0 at gamma == +-(b^* - t0) (mod D), as 2 t0 == 0 (mod D)
+                    constraints.add((D, min((bstar - t0) % D, (t0 - bstar) % D)))
+        half, modulus = _crt_fold(list(constraints))
+        residues = {t for t, _ in half}  # a set: each gamma comes once, however many sign vectors reach it
+        residues.update([-t % modulus for t in residues])  # the fold holds the first sign at +1; the mirrors bring -1
+        weight = float(-constant if len(self.pairs) % 2 else constant)
+        self.passes[key] = found = weight, tuple(tabled), tuple(sorted(residues)), modulus
+        return found
+
+    @functools.cached_property
+    def prefactor(self) -> tuple[int, int, float, float, float, complex]:
+        """(num, den, p2_sign, p2_power, p2_den, p3): P1 = _phase(num, 2 r den), P2 = p2_sign r**p2_power / p2_den."""
+        fibers, a_eps, g, euler = self.symbol.fibers, self.symbol.a_eps, self.symbol.genus, self.direct[0]
+        n, sign_e = len(fibers), (euler > 0) - (euler < 0)
+        # s(-b, a) = -s(b, a): a mirrored pair adds nothing to the sum; with every fiber paired e and x are ints
+        x = 3 * (a_eps - 1) * sign_e - euler - 12 * sum([_dedekind(bstar, a) for a, bstar in self.unpaired])
+        try:
+            p2_den = 2.0 ** ((2 * n + a_eps * g - 2) / 2) * math.sqrt(math.prod([a for a, _ in fibers]))
+        except OverflowError:
+            p2_den = math.inf
+        # past the float range RT is then nan, which rt_closed's range check rejects; 1 / inf would be a silent 0
+        p2_den = p2_den if p2_den < math.inf else math.nan
+        # i^n from the table: past n = 100 the power 1j**n is taken through exp and log, and rounds
+        p2_sign, p3 = (-1.0) ** (a_eps * g) * _QUARTER_PHASES[n % 4], _phase(3 * (1 - a_eps) * sign_e, 4)
+        return x.numerator, x.denominator, p2_sign, (a_eps * g - 2) / 2, p2_den, p3
+
+
+@functools.lru_cache(maxsize=512)  # 256 bounded symbols and their doubles
+def _plan(symbol: SeifertSymbol) -> _Plan:
+    """The plan of a closed symbol, or of a bounded M's double; callers check the type, as an equal tuple would hit."""
+    return _plan(double(symbol)) if symbol.boundary else _Plan(symbol)
 
 
 @_in_float_range
@@ -363,10 +363,10 @@ def rt_closed(symbol: SeifertSymbol, r: int) -> InvariantValue:
     """RT invariant of a closed symbol at level r.
 
     Costs one z_direct, then P2's power of r and, unless P1 is 1 as on a
-    double, P1's phase; the rest of the prefactor comes from the symbol's _plan.
+    double, P1's phase; the rest of the prefactor is built once per symbol, in its plan.
     """
     z = z_direct(symbol, r)  # checks that symbol is a closed SeifertSymbol and r a level, and builds its plan
-    num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol)[8:]
+    num, den, p2_sign, p2_power, p2_den, p3 = _plan(symbol).prefactor
     p1 = _phase(num, 2 * r * den) if num else _QUARTER_PHASES[0]  # 1 at every level where num = 0, as on a double
     prefactor = p1 * (p2_sign * float(r) ** p2_power / p2_den) * p3
     # -0.0 + 0.0 is +0.0: a part that is zero is +0.0, whatever P2's sign

@@ -200,23 +200,21 @@ def symbol_from_dict(data: Any) -> SeifertSymbol:
     if not _FIELDS.issubset(data):
         raise MalformedInputError(f"symbol is missing fields: {sorted(_FIELDS.difference(data))}")
     fibers = data["fibers"]
-    if type(fibers) is not list and (not isinstance(fibers, Iterable) or isinstance(fibers, (str, bytes))):
+    if not isinstance(fibers, (list, tuple)):  # a JSON array; an object, a string or a number is malformed
         raise MalformedInputError("fibers must be a list of [a, b] pairs")
-    pairs = []
     for entry in fibers:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise MalformedInputError(f"bad fiber entry {entry!r}")
-        pairs.append(entry)
     if not isinstance(data["boundary"], bool):
         raise MalformedInputError("boundary must be true or false")
     if not isinstance(data["epsilon"], str):
         raise MalformedInputError(f"epsilon must be a string, got {data['epsilon']!r}")
     try:
-        return SeifertSymbol(data["epsilon"], data["genus"], pairs, data["boundary"])
+        return SeifertSymbol(data["epsilon"], data["genus"], fibers, data["boundary"])
     except DomainError:  # the constructor is the one integer test of genus and entries; a non-integer one is malformed
         if not _is_int(data["genus"]):
             raise MalformedInputError(f"genus must be an integer, got {data['genus']!r}") from None
-        for entry in pairs:
+        for entry in fibers:
             if not all(map(_is_int, entry)):
                 raise MalformedInputError(f"bad fiber entry {entry!r}") from None
         raise
@@ -229,6 +227,6 @@ def symbol_to_json(symbol: SeifertSymbol) -> str:
 def symbol_from_json(text: str) -> SeifertSymbol:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal longer than int() converts (4300 digits)
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer past int()'s 4300 digits, or deep nesting
         raise MalformedInputError(f"invalid JSON for symbol: {exc}") from exc
     return symbol_from_dict(data)

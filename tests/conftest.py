@@ -15,7 +15,8 @@ from seifertq import load_triangulation
 def clear_rt_caches():
     """A function that empties every functools cache of every seifertq module, so that the next evaluation starts cold.
 
-    That is rt's caches and congruence._mu, and any cache a module defines later; each is found where it is defined.
+    That is rt's _plan, which holds each symbol's passes too, rt's _scale_sum and congruence._mu, and any cache a
+    module defines later; each is found where it is defined.
     """
     seifertq.__all__  # imports every submodule
     caches = [

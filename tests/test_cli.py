@@ -425,6 +425,14 @@ def test_triangulation_index_past_the_digit_limit_exits_3(capsys, tmp_path, text
     assert err == "error: line 1: an index of 5001 digits is too long\n"
 
 
+def test_deeply_nested_symbol_json_exits_3(capsys):
+    # json.loads meets 100 000 nested arrays as a RecursionError, which printed a traceback and exited 1
+    code, out, err = run(capsys, "normalize", "--symbol", "[" * 100_000)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: invalid JSON for symbol: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["rt", "--symbol", TORUS])  # missing required --r

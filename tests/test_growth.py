@@ -115,7 +115,7 @@ def test_ltv_scan_and_lemma_build_one_double_per_symbol(monkeypatch, clear_rt_ca
         return double(symbol)
 
     monkeypatch.setattr(seifertq.congruence, "_fiber", counting)
-    monkeypatch.setattr(seifertq.rt, "double", counting_double)  # the binding rt._bounded_plan calls
+    monkeypatch.setattr(seifertq.rt, "double", counting_double)  # the binding rt._plan calls
     clear_rt_caches()
     samples, _ = ltv_scan(ANCHOR, [15, 45, 75])
     check = verify_lemma(ANCHOR, 15)
@@ -169,10 +169,12 @@ def test_scan_and_lemma_build_one_plan(clear_rt_caches):
     clear_rt_caches()
     ltv_scan(ANCHOR, [15, 45, 75])
     verify_lemma(ANCHOR, 15)
-    assert seifertq.rt._plan.cache_info().misses == 1
-    # 15, 45 and 75 are all 0 (mod A = 15): one pass over the double's fibers serves the four evaluations
+    assert seifertq.rt._plan.cache_info().misses == 2  # ANCHOR, then D(ANCHOR) under the same plan
+    plan = seifertq.rt._plan(ANCHOR)
+    assert plan is seifertq.rt._plan(double(ANCHOR))
+    # gcd(r, A = 15) is 15 at 15, 45 and 75: one pass over the double's fibers serves the four evaluations
     # and the lemma's bound
-    assert seifertq.rt._fiber_class.cache_info()[:2] == (4, 1)
+    assert list(plan.passes) == [15]
 
 
 @pytest.mark.parametrize(

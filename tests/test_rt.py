@@ -45,7 +45,7 @@ from seifertq import (
     z_direct,
     z_double_simplified,
 )
-from seifertq.rt import _fiber_class, _fsum_complex, _gauss_table, _nonzero, _pair_off, _phase, _plan, _scale_sum
+from seifertq.rt import _fsum_complex, _gauss_table, _nonzero, _pair_off, _phase, _plan, _Plan, _scale_sum
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -505,7 +505,7 @@ def test_rt_closed_cancels_mirrored_dedekind_sums(monkeypatch):
     rt_closed(double(SeifertSymbol("o", 1, ((3, 1), (5, 2)), boundary=True)), 15)
     assert calls == []
     rt_closed(SeifertSymbol("o", 1, ((3, 1), (5, 2), (3, -1))), 7)
-    assert calls == [(2, 5)]
+    assert calls == [(3, 5)]  # the unpaired fiber's s(b^*, a) = s(2, 5), b^* = 3
 
 
 def oracle_prefactor(symbol, r):
@@ -579,35 +579,48 @@ def closed_symbols_at_two_levels(draw):
 @example(case=(SeifertSymbol("n", 2, ((15, 2), (15, -2), (9, 4))), 3, 5))  # the pair has d = 3, then d = 5
 @example(case=(double(SeifertSymbol("o", 1, ((3, 1), (5, 1)), boundary=True)), 15, 45))  # a scan's r = 15k
 def test_fiber_class_built_at_one_level_serves_its_class(case, clear_rt_caches):
+    # the class of r is gcd(r, A): the plan folds the fibers' congruences once per class, whatever the level
     symbol, r, s = case
     modulus = math.lcm(*(a for a, _ in symbol.fibers))
     levels = [level + k * modulus for k in (0, 2, 4) for level in (r, s)]  # r + 2kA is in r's class mod A
-    clear_rt_caches()
-    warm = [z_direct(symbol, level) for level in levels]
-    classes = len({r % modulus, s % modulus})
-    assert seifertq.rt._fiber_class.cache_info()[:2] == (len(levels) - classes, classes)
+    fold, folds = seifertq.rt._crt_fold, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seifertq.rt, "_crt_fold", lambda constraints: folds.append(constraints) or fold(constraints))
+        clear_rt_caches()
+        warm = [z_direct(symbol, level) for level in levels]
+    assert len(folds) == len({math.gcd(r, modulus), math.gcd(s, modulus)})
     for level, value in zip(levels, warm):
         clear_rt_caches()
         assert repr(z_direct(symbol, level)) == repr(value)  # bit for bit, signs of zero included
 
 
-@pytest.mark.parametrize(
-    "cache", [_plan, _fiber_class, seifertq.rt._bounded_plan], ids=["plan", "fiber_class", "bounded_plan"]
-)
-def test_plan_cache_is_bounded(cache, clear_rt_caches):
-    # every symbol below has its own fiber list, so each is a new key of every cache; at r = a, tv_bounded's
-    # z_direct reads the pass _bounded_plan keys at r == 0 (mod a), so it adds one key to _fiber_class, not two
+def test_plan_cache_is_bounded(clear_rt_caches):
+    # every symbol below has its own fiber list, so it and its double are two new keys of the one plan cache
     clear_rt_caches()
-    maxsize = cache.cache_info().maxsize
-    for genus in range(1, maxsize + 51):
+    maxsize = _plan.cache_info().maxsize
+    for genus in range(1, maxsize // 2 + 51):
         a = 2 * genus + 1
         tv_bounded(SeifertSymbol("o", genus % 3 + 1, ((a, 1),), boundary=True), a)
-    info = cache.cache_info()
-    assert (info.misses, info.currsize) == (maxsize + 50, maxsize)
+    info = _plan.cache_info()
+    assert (info.misses, info.currsize) == (maxsize + 100, maxsize)
+
+
+def test_a_plan_keeps_one_pass_per_gcd_of_level_and_modulus(monkeypatch, clear_rt_caches):
+    symbol = double(SeifertSymbol("o", 1, ((9, 2), (5, 1)), boundary=True))  # A = 45 has 6 divisors
+    levels = range(3, 1003, 2)
+    fold, folds = seifertq.rt._crt_fold, []
+    monkeypatch.setattr(seifertq.rt, "_crt_fold", lambda constraints: folds.append(constraints) or fold(constraints))
+    clear_rt_caches()
+    for r in levels:
+        z_direct(symbol, r)
+    assert len(levels) == 500
+    # one pass, and one fold, per divisor of 45 that some gcd(r, 45) reaches: 1, 3, 5, 9, 15 and 45
+    assert sorted(_plan(symbol).passes) == sorted({math.gcd(r, 45) for r in levels}) == [1, 3, 5, 9, 15, 45]
+    assert len(folds) == 6
 
 
 def test_prefactor_overflow_is_rt_closed_s_domain_error():
-    # 2^((2n + a_eps g - 2) / 2) = 2^1024 overflows in the plan, which z_direct builds and does not use
+    # 2^((2n + a_eps g - 2) / 2) = 2^1024 overflows in the plan's prefactor, which z_direct never builds
     symbol = SeifertSymbol("o", 501, ((1, 0),) * 524)
     _plan.cache_clear()
     assert math.isfinite(z_direct(symbol, 3).term_magnitude_sum)
@@ -752,9 +765,9 @@ def test_rt_parts_that_are_zero_are_positive_zero(part):
 
 def _single_gamma(call, gamma, r):
     """call() with z_direct's support at level r replaced by the single gamma given, the one lift of gamma mod r."""
-    fiber_class = seifertq.rt._fiber_class
+    fiber_pass = _Plan.fiber_pass
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seifertq.rt, "_fiber_class", lambda *key: fiber_class(*key)[:2] + ((gamma,), r))
+        patch.setattr(_Plan, "fiber_pass", lambda plan, level: fiber_pass(plan, level)[:2] + ((gamma,), r))
         return call()
 
 
@@ -889,7 +902,7 @@ def test_double_setup_solves_the_congruences_once(monkeypatch, evaluate, clear_r
         folds.append(sorted(constraints))
         return original(constraints, *args)
 
-    monkeypatch.setattr(seifertq.rt, "_crt_fold", counting)  # the binding _fiber_class calls
+    monkeypatch.setattr(seifertq.rt, "_crt_fold", counting)  # the binding the plan's pass calls
     monkeypatch.setattr(seifertq.congruence, "_fiber", lambda a, b: checked.append((a, b)) or fiber(a, b))
     clear_rt_caches()
     evaluate(ANCHOR_SYMBOL, 15)
@@ -902,31 +915,17 @@ def test_bound_and_invariant_share_the_double_s_pass(monkeypatch, clear_rt_cache
     monkeypatch.setattr(seifertq.rt, "_crt_fold", lambda constraints: folds.append(constraints) or fold(constraints))
     # the second symbol holds a mirrored pair after another fiber, which _pair_off lists first among D(M)'s pairs
     for symbol in (ANCHOR_SYMBOL, SeifertSymbol("o", 1, ((3, 2), (5, 1), (5, 4)), boundary=True)):
-        # M's fibers are one of each pair of D(M): at r == 0 (mod A) the bound reads the pass z_direct builds
+        # M's plan is D(M)'s: at r == 0 (mod A) the bound reads the pass z_direct builds
         clear_rt_caches()
         folds.clear()
         lower_bound(symbol, 15)
         z_direct(double(symbol), 45)
-        assert len(folds) == 1, symbol
-        # two symbols that differ only in base and genus have doubles with one fiber list
-        clear_rt_caches()
-        folds.clear()
         tv_bounded(symbol, 15)
-        tv_bounded(SeifertSymbol("n", 2, symbol.fibers, boundary=True), 15)
         assert len(folds) == 1, symbol
-
-
-@settings(deadline=None)
-@given(symbol=odd_modulus_symbols())
-@example(symbol=SeifertSymbol("o", 1, ((3, 2), (5, 1), (5, 4)), boundary=True))  # a pair of M after another fiber
-@example(symbol=SeifertSymbol("o", 1, ((5, 1), (5, 4), (5, 1)), boundary=True))  # a pair and a third of its a
-def test_double_setup_keys_the_pass_as_the_double_s_plan_does(symbol, clear_rt_caches):
-    # _bounded_plan keys the pass by _pair_off's pairs of D(M), the key _plan builds, whatever the order of M's fibers
-    clear_rt_caches()
-    setup = seifertq.rt._double_setup(symbol, math.lcm(*(a for a, _ in symbol.fibers)))
-    pairs, unpaired = _plan(double(symbol))[6:8]
-    assert unpaired == ()
-    assert setup is _fiber_class(pairs, (), 0)  # one cache entry: a key that differed would build another
+        assert _plan(symbol) is _plan(double(symbol))
+        # a symbol that differs only in base and genus has a plan of its own, with its own fold
+        tv_bounded(SeifertSymbol("n", 2, symbol.fibers, boundary=True), 15)
+        assert len(folds) == 2, symbol
 
 
 @pytest.mark.parametrize("evaluate", [z_direct, rt_closed, tv_bounded])

@@ -246,12 +246,21 @@ def test_json_round_trip():
     assert symbol_from_dict(symbol_to_dict(s)) == s
 
 
+@pytest.mark.parametrize("extra", [', "name": "anchor"', ', "fibers_count": 2, "boundary_length": null'])
+def test_symbol_json_ignores_unknown_keys(extra):
+    # the four keys are required; any other key is ignored, whatever its value (README, "Seifert symbols")
+    text = f'{{"epsilon": "o", "genus": 1, "fibers": [[3, 1], [5, 1]], "boundary": true{extra}}}'
+    assert symbol_from_json(text) == SeifertSymbol("o", 1, ((3, 1), (5, 1)), boundary=True)
+
+
 @pytest.mark.parametrize(
     "data",
     [
         "[]",
         '{"epsilon": "o"}',
         '{"epsilon": "o", "genus": 1, "fibers": 3, "boundary": false}',
+        '{"epsilon": "o", "genus": 1, "fibers": {}, "boundary": false}',  # fibers is a JSON array, not an object
+        '{"epsilon": "o", "genus": 1, "fibers": {"3": 1}, "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [[3]], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [[3, "x"]], "boundary": false}',
         '{"epsilon": "o", "genus": 1, "fibers": [3], "boundary": true}',
